@@ -9,17 +9,17 @@
 /// hash function (mphf/mphf.h) turns lookups into values[mphf(key)] —
 /// one direct array load, no probe sequence, no stored keys. Because
 /// an MPHF maps *every* key (in-set or not) to some index in [0, n),
-/// membership is checked with a per-slot fingerprint: the low FpBits
-/// bits of the MPHF's final slot-hash word, which the slot derivation
+/// membership is checked with a per-slot fingerprint: the low 8 bits
+/// of the MPHF's final slot-hash word, which the slot derivation
 /// discards (fastRange keeps the high product bits), so the check
 /// costs no extra mixing. Out-of-set keys are rejected with
-/// probability ~1 - 2^-FpBits; the map never returns a wrong value
-/// for an in-set key.
+/// probability ~1 - 2^-8; the map never returns a wrong value for an
+/// in-set key.
 ///
 /// Compared to FlatIndexMap this trades mutability (the key set is
 /// sealed at construction) for a shorter dependency chain per lookup
-/// and a footprint of sizeof(Value) + FpBits/8 bytes per key — the
-/// keys themselves are not stored at all.
+/// and a footprint of sizeof(Value) + 1 bytes per key — the keys
+/// themselves are not stored at all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,18 +31,12 @@
 
 #include <cstdint>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace sepe {
 
 /// A sealed key -> Value map over the construction key set of an Mphf.
-/// FpBits selects the membership fingerprint width (8 or 16).
-template <typename Value, unsigned FpBits = 8> class DirectIndexMap {
-  static_assert(FpBits == 8 || FpBits == 16,
-                "fingerprints are stored as one byte or one half-word");
-  using Fp = std::conditional_t<FpBits == 8, uint8_t, uint16_t>;
-
+template <typename Value> class DirectIndexMap {
 public:
   DirectIndexMap() = default;
 
@@ -69,7 +63,7 @@ public:
           return; // not a bijection over these keys
         Seen[Slot / 64] |= uint64_t{1} << (Slot % 64);
         Values[Slot] = Vals[At + I];
-        Fingerprints[Slot] = static_cast<Fp>(SF.FpWord);
+        Fingerprints[Slot] = static_cast<uint8_t>(SF.FpWord);
       }
       At += Chunk;
     }
@@ -86,18 +80,16 @@ public:
   bool valid() const { return Sealed; }
   size_t size() const { return Sealed ? Values.size() : 0; }
 
-  static constexpr unsigned fingerprintBits() { return FpBits; }
-
   const Mphf &mphf() const { return F; }
 
   /// Pointer to the value sealed under \p Key, or nullptr when the
   /// fingerprint rejects it (always, for in-set keys: never nullptr;
-  /// for out-of-set keys: nullptr except with probability ~2^-FpBits).
+  /// for out-of-set keys: nullptr except with probability ~2^-8).
   const Value *find(std::string_view Key) const {
     if (!Sealed)
       return nullptr;
     const Mphf::SlotFp SF = F.slotFpFromBase(F.baseImage(Key));
-    if (Fingerprints[SF.Slot] != static_cast<Fp>(SF.FpWord)) {
+    if (Fingerprints[SF.Slot] != static_cast<uint8_t>(SF.FpWord)) {
       SEPE_COUNT("direct_index.find.reject");
       return nullptr;
     }
@@ -124,8 +116,7 @@ public:
     // Prefetch passes only pay for themselves once the table has
     // outgrown mid-level cache; below that the misses they would hide
     // do not exist and the extra bucket-hash recompute is pure cost.
-    const bool Staged = Values.size() * sizeof(Value) +
-                            Fingerprints.size() * sizeof(Fp) >
+    const bool Staged = Values.size() * sizeof(Value) + Fingerprints.size() >
                         (size_t{256} << 10);
     uint64_t Bases[256];
     uint32_t Slots[256];
@@ -147,7 +138,7 @@ public:
       }
       for (size_t I = 0; I != Chunk; ++I) {
         const uint32_t Slot = Slots[I];
-        if (Fingerprints[Slot] == static_cast<Fp>(FpWords[I])) {
+        if (Fingerprints[Slot] == static_cast<uint8_t>(FpWords[I])) {
           Out[At + I] = &Values[Slot];
           ++Hits;
         } else {
@@ -162,15 +153,14 @@ public:
   /// Container footprint: values + fingerprints + the MPHF's pilot and
   /// offset structures (keys are not stored).
   size_t bytesUsed() const {
-    return Values.size() * sizeof(Value) +
-           Fingerprints.size() * sizeof(Fp) +
+    return Values.size() * sizeof(Value) + Fingerprints.size() +
            (F.valid() ? F.plan().bytesUsed() : 0);
   }
 
 private:
   Mphf F;
   std::vector<Value> Values;
-  std::vector<Fp> Fingerprints;
+  std::vector<uint8_t> Fingerprints;
   bool Sealed = false;
 };
 

@@ -11,10 +11,11 @@
 /// a per-key routine (one indirect call plus the plan's straight-line
 /// steps, with the common step counts specialized so even the step loop
 /// disappears) and a batch routine that hashes many keys per call. The
-/// batch dispatch is a ladder: eight-key AVX2 vertical kernels for
-/// fixed-length Naive/OffXor/Pext plans (gated on a runtime cpuid
-/// probe), the four-way interleaved scalar kernels otherwise, and a
-/// per-key loop for the variable-length/partial shapes. A "portable"
+/// batch dispatch is a ladder: the attach-time JIT (core/jit.h), a
+/// fused-load AVX2 kernel for fixed-length Naive/OffXor plans (both
+/// gated on a runtime cpuid probe), the four-way interleaved scalar
+/// kernels otherwise, and a per-key loop for the variable-length/
+/// partial shapes. A "portable"
 /// mode forces the software pext / AES paths, which is how the aarch64
 /// experiment of RQ4 is reproduced on this host.
 ///
@@ -42,20 +43,20 @@ class JitProgram;
 /// absent. Portable forces the bit-exact software routines for
 /// everything. The IsaLevel is an *upper bound*: at Native the executor
 /// additionally consults the runtime cpuid probe (support/cpu_features.h)
-/// before dispatching to the AVX2 wide kernels, so the same binary
+/// before dispatching to the AVX2 wide kernel, so the same binary
 /// degrades to the interleaved scalar kernels on hosts without AVX2.
 enum class IsaLevel { Native, NoBitExtract, Portable };
 
 /// The batch kernel families hashBatch can dispatch to, in increasing
 /// width: a per-key loop over the single-key kernel, the four-way
-/// interleaved scalar kernels (PR 1), the eight-key AVX2 vertical
-/// kernels, and the attach-time JIT (core/jit.h) — straight-line
-/// machine code emitted for the exact plan, no interpreter dispatch at
-/// all. Auto picks the widest path the plan shape, the IsaLevel, and
-/// the host CPU allow; the explicit values exist so the driver and
-/// benchmarks can measure the ladder rung by rung. A request the plan
-/// or host cannot honor resolves downward (Jit -> Avx2 -> Interleaved
-/// -> Scalar), never upward.
+/// interleaved scalar kernels, the fused-load AVX2 xor kernel, and the
+/// attach-time JIT (core/jit.h) — straight-line machine code emitted
+/// for the exact plan, no interpreter dispatch at all. Auto picks the
+/// widest path the plan shape, the IsaLevel, and the host CPU allow;
+/// the explicit values exist so the driver and benchmarks can measure
+/// the ladder rung by rung. A request the plan or host cannot honor
+/// resolves downward (Jit -> Avx2 -> Interleaved -> Scalar), never
+/// upward.
 enum class BatchPath { Auto, Scalar, Interleaved, Avx2, Jit };
 
 /// Lower-case path name ("auto", "scalar", "interleaved", "avx2",

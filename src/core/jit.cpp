@@ -37,10 +37,7 @@
 #include "support/trace.h"
 
 #include <cassert>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__linux__) && !defined(SEPE_DISABLE_JIT)
@@ -73,23 +70,6 @@ size_t svDataOffset() {
     return SIZE_MAX;
   }();
   return Off;
-}
-
-/// The SEPE_JIT environment override, read once (mirroring
-/// SEPE_TELEMETRY_ENABLED): absent or any other value leaves the JIT
-/// on; "0"/"off"/"false" (case-insensitive) pins the forced-fallback
-/// story at runtime the way -DSEPE_DISABLE_JIT does at compile time.
-bool jitRuntimeEnabled() {
-  static const bool Enabled = [] {
-    const char *Val = std::getenv("SEPE_JIT");
-    if (!Val)
-      return true;
-    std::string Lower(Val);
-    for (char &C : Lower)
-      C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-    return Lower != "0" && Lower != "off" && Lower != "false";
-  }();
-  return Enabled;
 }
 
 #if defined(SEPE_EXEC_JIT)
@@ -424,7 +404,7 @@ bool sepe::jitCompiledIn() {
 }
 
 bool sepe::jitAvailable() {
-  return jitCompiledIn() && jitRuntimeEnabled() && cpuFeatures().Bmi2;
+  return jitCompiledIn() && cpuFeatures().Bmi2;
 }
 
 bool sepe::jitSupportsPlan(const HashPlan &Plan) {

@@ -28,9 +28,9 @@
 ///
 /// Eligibility is two separate questions, split so the dispatch ladder
 /// can report them independently: jitAvailable() is about the *host*
-/// (compiled in, BMI2 in cpuid, SEPE_JIT env not disabling) and
-/// jitSupportsPlan() is about the *shape* (fixed-length, whole-word
-/// loads, a Naive/OffXor/Pext family, a step count the emitter unrolls).
+/// (compiled in, BMI2 in cpuid) and jitSupportsPlan() is about the
+/// *shape* (fixed-length, whole-word loads, a Naive/OffXor/Pext family,
+/// a step count the emitter unrolls).
 /// Everything else resolves downward onto the interpreted rungs.
 ///
 //===----------------------------------------------------------------------===//
@@ -55,10 +55,9 @@ class JitProgram;
 /// with this false).
 bool jitCompiledIn();
 
-/// Host gate: compiled in, BMI2 present in the runtime cpuid probe
+/// Host gate: compiled in and BMI2 present in the runtime cpuid probe
 /// (pext is encoded unconditionally for the Pext family and the gate is
-/// kept uniform), and the SEPE_JIT environment variable — read once,
-/// mirroring SEPE_TELEMETRY_ENABLED — not set to "0"/"off"/"false".
+/// kept uniform).
 bool jitAvailable();
 
 /// Shape gate: fixed-length Naive/OffXor/Pext plans with whole-word

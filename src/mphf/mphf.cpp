@@ -6,13 +6,13 @@
 //
 // Build strategy: compute one 64-bit base image per key (extraction
 // plan + bijective finalizer when available, seeded raw mix otherwise),
-// then hand the image set to the tier builder. Every tier is a search
-// over pilot values scored against the images only — keys are never
-// touched again after imaging, which is what keeps million-key builds
-// fast. Any search overrun or (astronomically unlikely) image collision
-// restarts the whole build under the next seed; restarts that never
-// converge mean the input contains duplicate keys, which is detected
-// exactly and reported as such.
+// then bucket the images and build one splitting tree per bucket. The
+// tree builder is a search over pilot values scored against the images
+// only — keys are never touched again after imaging, which is what
+// keeps million-key builds fast. Any search overrun or (astronomically
+// unlikely) image collision restarts the whole build under the next
+// seed; restarts that never converge mean the input contains duplicate
+// keys, which is detected exactly and reported as such.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,37 +27,8 @@
 
 using namespace sepe;
 
-const char *sepe::mphfTierName(MphfTier Tier) {
-  switch (Tier) {
-  case MphfTier::Mixer:
-    return "Mixer";
-  case MphfTier::Displace:
-    return "Displace";
-  case MphfTier::Split:
-    return "Split";
-  }
-  return "?";
-}
-
-bool sepe::parseMphfTier(std::string_view Name, MphfTier &Tier) {
-  if (Name == "Mixer") {
-    Tier = MphfTier::Mixer;
-    return true;
-  }
-  if (Name == "Displace") {
-    Tier = MphfTier::Displace;
-    return true;
-  }
-  if (Name == "Split") {
-    Tier = MphfTier::Split;
-    return true;
-  }
-  return false;
-}
-
 size_t MphfPlan::bytesUsed() const {
-  return Displace.size() * sizeof(uint32_t) + Pilots.bytesUsed() +
-         Offsets.bytesUsed() + PilotStarts.bytesUsed();
+  return Pilots.bytesUsed() + Offsets.bytesUsed() + PilotStarts.bytesUsed();
 }
 
 //===----------------------------------------------------------------------===//
@@ -72,30 +43,31 @@ Mphf::Mphf(std::shared_ptr<const MphfPlan> PlanIn)
     assert(Plan->Extract && "extraction-based plan without a HashPlan");
     Base = SynthesizedHash(Plan->Extract);
   }
-  if (Plan->NumBuckets >= 2 && std::has_single_bit(Plan->NumBuckets))
+  assert(std::has_single_bit(Plan->NumBuckets) &&
+         "bucket count must be a power of two");
+  if (Plan->NumBuckets > 1)
     BucketShift =
         64 - static_cast<unsigned>(std::countr_zero(Plan->NumBuckets));
-  if (Plan->Tier == MphfTier::Split) {
-    const std::vector<uint64_t> Offs = Plan->Offsets.decode();
-    const std::vector<uint64_t> Starts = Plan->PilotStarts.decode();
-    const size_t B = Offs.empty() ? 0 : Offs.size() - 1;
-    BucketCache.resize(B);
-    uint32_t MaxBucket = 0;
-    for (size_t I = 0; I != B; ++I) {
-      BucketRef &BR = BucketCache[I];
-      BR.Off = static_cast<uint32_t>(Offs[I]);
-      BR.Size = static_cast<uint32_t>(Offs[I + 1] - Offs[I]);
-      BR.PilotStart = static_cast<uint32_t>(Starts[I]);
-      BR.RootPilot =
-          BR.Size == 0 ? 0
-                       : static_cast<uint32_t>(Plan->Pilots.get(BR.PilotStart));
-      MaxBucket = std::max(MaxBucket, BR.Size);
-    }
-    NodeCount.assign(MaxBucket + 1, 1);
-    NodeCount[0] = 0;
-    for (uint32_t M = Plan->LeafMax + 1; M <= MaxBucket; ++M)
-      NodeCount[M] = 1 + NodeCount[M / 2] + NodeCount[M - M / 2];
+  const std::vector<uint64_t> Offs = Plan->Offsets.decode();
+  const std::vector<uint64_t> Starts = Plan->PilotStarts.decode();
+  assert(Offs.size() == size_t{Plan->NumBuckets} + 1 &&
+         "one key offset per bucket plus the end");
+  BucketCache.resize(Plan->NumBuckets);
+  uint32_t MaxBucket = 0;
+  for (size_t I = 0; I != BucketCache.size(); ++I) {
+    BucketRef &BR = BucketCache[I];
+    BR.Off = static_cast<uint32_t>(Offs[I]);
+    BR.Size = static_cast<uint32_t>(Offs[I + 1] - Offs[I]);
+    BR.PilotStart = static_cast<uint32_t>(Starts[I]);
+    BR.RootPilot =
+        BR.Size == 0 ? 0
+                     : static_cast<uint32_t>(Plan->Pilots.get(BR.PilotStart));
+    MaxBucket = std::max(MaxBucket, BR.Size);
   }
+  NodeCount.assign(MaxBucket + 1, 1);
+  NodeCount[0] = 0;
+  for (uint32_t M = Plan->LeafMax + 1; M <= MaxBucket; ++M)
+    NodeCount[M] = 1 + NodeCount[M / 2] + NodeCount[M - M / 2];
 }
 
 void Mphf::baseBatch(const std::string_view *Keys, uint64_t *Out,
@@ -124,6 +96,23 @@ void Mphf::evalBatch(const std::string_view *Keys, uint64_t *Out,
 
 namespace {
 
+/// The construction's shape. Leaves brute-force a bijection at
+/// <= LeafMax keys; buckets average AvgBucket keys. Keeping the average
+/// bucket well below LeafMax makes virtually every lookup leaf-direct
+/// (bucket hash -> one cached pilot -> slot, no tree descent): at
+/// Poisson(4) only ~0.06% of keys sit in buckets past 12, so the
+/// descent branch is effectively never taken and never mispredicted.
+constexpr uint32_t LeafMax = 12;
+constexpr uint64_t AvgBucket = 4;
+
+/// Per-node pilot search bound; overrunning it restarts the whole
+/// build under the next seed.
+constexpr uint64_t PilotLimit = uint64_t{1} << 20;
+
+/// Whole-build reseeds before giving up. Exhausting these means the
+/// input almost certainly contains duplicate keys.
+constexpr unsigned MaxRestarts = 16;
+
 /// Sorted-adjacent duplicate scan over \p Images. Returns true when two
 /// images collide; DuplicateKeys is set when the colliding *keys* are
 /// byte-identical (a user error no reseed can fix).
@@ -148,96 +137,17 @@ bool imagesCollide(const std::vector<uint64_t> &Images,
   return Collides;
 }
 
-/// Exact-synthesis tier: search one multiply-fold constant that is
-/// already a bijection onto [0, n).
-bool buildMixer(const std::vector<uint64_t> &Bases, uint64_t SeedMix,
-                const MphfBuildOptions &Options, MphfPlan &Plan) {
-  const uint64_t N = Bases.size();
-  assert(N <= 64 && "mixer tier bitmap holds at most 64 slots");
-  for (uint64_t Try = 0; Try != Options.MixerTries; ++Try) {
-    const uint64_t C = mphfMix64(SeedMix ^ (Try * 0x9E3779B97F4A7C15ull)) | 1;
-    uint64_t Taken = 0;
-    bool Ok = true;
-    for (uint64_t B : Bases) {
-      const uint64_t Slot = mphfFastRange(mulFold(B, C), N);
-      if ((Taken >> Slot) & 1) {
-        Ok = false;
-        break;
-      }
-      Taken |= uint64_t{1} << Slot;
-    }
-    if (Ok) {
-      Plan.Tier = MphfTier::Mixer;
-      Plan.MixerC = C;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// CHD-style displacement: greedy per-bucket pilot search, hardest
-/// (largest) buckets first.
-bool buildDisplace(const std::vector<uint64_t> &Bases,
-                   const MphfBuildOptions &Options, MphfPlan &Plan) {
-  const uint64_t N = Bases.size();
-  const uint32_t B = static_cast<uint32_t>(std::max<uint64_t>(1, (N + 3) / 4));
-  std::vector<std::vector<uint64_t>> Members(B);
-  for (uint64_t Base : Bases)
-    Members[mphfFastRange(mphfBucketHash(Base), B)].push_back(Base);
-  std::vector<uint32_t> Order(B);
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t C) {
-    return Members[A].size() > Members[C].size();
-  });
-
-  std::vector<bool> Used(N, false);
-  std::vector<uint64_t> Slots;
-  Plan.Displace.assign(B, 0);
-  for (uint32_t Bucket : Order) {
-    const std::vector<uint64_t> &Mem = Members[Bucket];
-    if (Mem.empty())
-      continue;
-    bool Placed = false;
-    for (uint32_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
-      Slots.clear();
-      bool Ok = true;
-      for (uint64_t Base : Mem) {
-        const uint64_t Slot = mphfFastRange(mphfSlotHash(Base, Pilot), N);
-        if (Used[Slot] ||
-            std::find(Slots.begin(), Slots.end(), Slot) != Slots.end()) {
-          Ok = false;
-          break;
-        }
-        Slots.push_back(Slot);
-      }
-      if (Ok) {
-        for (uint64_t Slot : Slots)
-          Used[Slot] = true;
-        Plan.Displace[Bucket] = Pilot;
-        Placed = true;
-        break;
-      }
-    }
-    if (!Placed)
-      return false;
-  }
-  Plan.Tier = MphfTier::Displace;
-  Plan.NumBuckets = B;
-  return true;
-}
-
 /// One recursive splitting tree over the bases of one bucket. Pilots
 /// append in DFS preorder; bases are reordered in place so each child
 /// works on a contiguous range.
 bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
-                    const MphfBuildOptions &Options,
                     std::vector<uint64_t> &Pilots) {
   const uint32_t M = static_cast<uint32_t>(End - Begin);
   if (M == 0)
     return true;
-  if (M <= Options.LeafMax) {
+  if (M <= LeafMax) {
     // Leaf: brute-force a pilot whose slot assignment is a bijection.
-    for (uint64_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
+    for (uint64_t Pilot = 0; Pilot != PilotLimit; ++Pilot) {
       uint64_t Taken = 0;
       bool Ok = true;
       for (size_t I = Begin; I != End; ++I) {
@@ -259,7 +169,7 @@ bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
   // the low half of [0, M), then recurse on the two halves.
   const uint32_t M1 = M >> 1;
   uint64_t Found = ~uint64_t{0};
-  for (uint64_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
+  for (uint64_t Pilot = 0; Pilot != PilotLimit; ++Pilot) {
     uint32_t Low = 0;
     for (size_t I = Begin; I != End; ++I)
       if (mphfFastRange(mphfSlotHash(Bases[I], Pilot), M) < M1)
@@ -277,19 +187,18 @@ bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
                           return mphfFastRange(mphfSlotHash(Base, Found),
                                                M) < M1;
                         });
-  return buildSplitNode(Bases, Begin, Begin + M1, Options, Pilots) &&
-         buildSplitNode(Bases, Begin + M1, End, Options, Pilots);
+  return buildSplitNode(Bases, Begin, Begin + M1, Pilots) &&
+         buildSplitNode(Bases, Begin + M1, End, Pilots);
 }
 
-/// RecSplit-style tier: bucket, then one splitting tree per bucket.
-bool buildSplit(const std::vector<uint64_t> &Bases,
-                const MphfBuildOptions &Options, MphfPlan &Plan) {
+/// Buckets the bases, then builds one splitting tree per bucket.
+bool buildSplit(const std::vector<uint64_t> &Bases, MphfPlan &Plan) {
   const uint64_t N = Bases.size();
   // Rounding the bucket count UP to a power of two lets the evaluator
   // turn bucket selection into a shift (see Mphf::bucketOf) and only
   // ever shrinks the average bucket, i.e. fewer interior splits.
-  const uint32_t B = static_cast<uint32_t>(std::bit_ceil(
-      std::max<uint64_t>(1, (N + Options.AvgBucket - 1) / Options.AvgBucket)));
+  const uint32_t B = static_cast<uint32_t>(
+      std::bit_ceil(std::max<uint64_t>(1, (N + AvgBucket - 1) / AvgBucket)));
   std::vector<std::vector<uint64_t>> Members(B);
   for (uint64_t Base : Bases)
     Members[mphfFastRange(mphfBucketHash(Base), B)].push_back(Base);
@@ -301,15 +210,13 @@ bool buildSplit(const std::vector<uint64_t> &Bases,
   for (uint32_t Bucket = 0; Bucket != B; ++Bucket) {
     Offsets[Bucket + 1] = Offsets[Bucket] + Members[Bucket].size();
     PilotStarts[Bucket] = Pilots.size();
-    if (!buildSplitNode(Members[Bucket], 0, Members[Bucket].size(), Options,
-                        Pilots))
+    if (!buildSplitNode(Members[Bucket], 0, Members[Bucket].size(), Pilots))
       return false;
   }
   PilotStarts[B] = Pilots.size();
 
-  Plan.Tier = MphfTier::Split;
   Plan.NumBuckets = B;
-  Plan.LeafMax = Options.LeafMax;
+  Plan.LeafMax = LeafMax;
   Plan.Pilots = PackedArray::pack(Pilots);
   Plan.Offsets = EliasFano::encode(Offsets);
   Plan.PilotStarts = EliasFano::encode(PilotStarts);
@@ -341,19 +248,16 @@ Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
   if (N == 0)
     return Error{"cannot build an MPHF over an empty key set",
                  std::string::npos};
-  if (N > (uint64_t{1} << 32))
+  if (N > MphfMaxKeys)
     return Error{"key set too large for the static-set tier",
                  std::string::npos};
-  MphfBuildOptions Opts = Options;
-  Opts.LeafMax = std::min(std::max(Opts.LeafMax, 1u), 16u);
-  Opts.MixerMax = std::min(Opts.MixerMax, 64u);
 
   // Resolve the extraction front-end: an explicit plan wins, else
   // synthesize Pext from the format, else raw-byte imaging.
-  std::shared_ptr<const HashPlan> Extract = Opts.Extract;
-  if (!Extract && Opts.Format != nullptr && !Opts.Format->empty()) {
+  std::shared_ptr<const HashPlan> Extract = Options.Extract;
+  if (!Extract && Options.Format != nullptr && !Options.Format->empty()) {
     Expected<HashPlan> Synth =
-        synthesize(Opts.Format->abstract(), HashFamily::Pext);
+        synthesize(Options.Format->abstract(), HashFamily::Pext);
     if (Synth && !Synth->FallbackToStl)
       Extract = std::make_shared<const HashPlan>(Synth.take());
   }
@@ -378,8 +282,8 @@ Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
   }
 
   std::vector<uint64_t> Bases(N);
-  for (unsigned Attempt = 0; Attempt <= Opts.MaxRestarts; ++Attempt) {
-    const uint64_t Seed = Opts.Seed + Attempt;
+  for (unsigned Attempt = 0; Attempt <= MaxRestarts; ++Attempt) {
+    const uint64_t Seed = Options.Seed + Attempt;
     const uint64_t SeedMix = mphfMix64(Seed);
     if (RawBase) {
       for (size_t I = 0; I != N; ++I)
@@ -403,16 +307,7 @@ Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
     Plan->RawBase = RawBase;
     Plan->Extract = RawBase ? nullptr : Extract;
 
-    bool Built = false;
-    if (N <= Opts.ExactMax) {
-      if (N <= Opts.MixerMax)
-        Built = buildMixer(Bases, SeedMix, Opts, *Plan);
-      if (!Built)
-        Built = buildDisplace(Bases, Opts, *Plan);
-    } else {
-      Built = buildSplit(Bases, Opts, *Plan);
-    }
-    if (!Built)
+    if (!buildSplit(Bases, *Plan))
       continue;
 
     Mphf F(std::move(Plan));

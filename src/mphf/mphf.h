@@ -8,22 +8,14 @@
 /// The static-set tier: when the key *set* (not just the format) is
 /// fixed, go past collision-free to *minimal perfect* — a bijection
 /// onto [0, n) that turns a hash-table probe into one direct array
-/// load. Three constructions sit behind one MphfPlan:
+/// load. The construction is RecSplit-style (Esposito/Genuzio/Vigna;
+/// PAPERS.md): bucket, then recursively brute-force pilots that split
+/// each bucket in half until leaves are small enough to brute-force a
+/// bijection directly. Pilots are stored in a fixed-width PackedArray,
+/// bucket offsets in Elias-Fano; the same structure serves one key or
+/// millions at a few bits per key.
 ///
-///  - Mixer: one multiply-fold constant whose range-mapped image is
-///    already a bijection, found by bounded exhaustive search (the
-///    exact-synthesis tier, practical for tiny sets).
-///  - Displace: a CHD-style seeded displacement table — bucket by one
-///    scrambled hash, then per-bucket search a pilot that parks every
-///    member in a free slot (small sets, <= ~64 keys).
-///  - Split: a RecSplit-style recursive splitting tree (Esposito/
-///    Genuzio/Vigna; PAPERS.md) — bucket, then recursively brute-force
-///    pilots that split each bucket in half until leaves are small
-///    enough to brute-force a bijection directly. Pilots are stored in
-///    a fixed-width PackedArray, bucket offsets in Elias-Fano; scales
-///    to millions of keys at a few bits per key.
-///
-/// All three operate on a 64-bit *base image* of the key, which is the
+/// It operates on a 64-bit *base image* of the key, which is the
 /// point of composing with the paper's synthesizer: when the key set
 /// conforms to a format whose Pext extraction is available, the base
 /// image is the pext-compacted relevant bits (xor a seed mix; every
@@ -53,15 +45,6 @@ namespace sepe {
 
 class FormatSpec;
 
-/// The three constructions, in increasing set-size ambition.
-enum class MphfTier { Mixer, Displace, Split };
-
-/// "Mixer", "Displace", "Split".
-const char *mphfTierName(MphfTier Tier);
-
-/// Inverse of mphfTierName; returns false on an unknown name.
-bool parseMphfTier(std::string_view Name, MphfTier &Tier);
-
 /// splitmix64's finalizer: a bijection on 64-bit words, so applying it
 /// to distinct base images preserves distinctness while uniformizing
 /// the bits the pilot searches consume.
@@ -84,9 +67,9 @@ inline uint64_t mphfFastRange(uint64_t X, uint64_t N) {
 /// Bucket-selection hash; its salt is decorrelated from the slot hash
 /// and from every multiplier the containers use (flat_index_map.h), so
 /// bucketing never aligns with probe sequences. A single multiply-fold
-/// (not a full mix64): it sits on every Displace/Split lookup's serial
-/// chain, and the builder's bijection verification catches any set a
-/// weaker mix would mishandle (the reseed loop then fixes it).
+/// (not a full mix64): it sits on every lookup's serial chain, and the
+/// builder's bijection verification catches any set a weaker mix would
+/// mishandle (the reseed loop then fixes it).
 inline uint64_t mphfBucketHash(uint64_t Base) {
   return mulFold(Base ^ 0x8CB92BA72F3D8DD7ull, 0x2545F4914F6CDD1Dull);
 }
@@ -101,17 +84,6 @@ inline uint64_t mphfBucketHash(uint64_t Base) {
 inline uint64_t mphfSlotHash(uint64_t Base, uint64_t Pilot) {
   return mulFold(Base ^ ((Pilot + 1) * 0xA24BAED4963EE407ull),
                  0x9FB21C651E98DF25ull);
-}
-
-/// Membership fingerprint mix: an independently-salted mulFold for
-/// callers that need fingerprint bits without evaluating the MPHF
-/// (e.g. hashing a candidate key against a stored fingerprint table
-/// built some other way). The direct-index lookup path does NOT pay
-/// this: Mphf::slotFpFromBase hands back the slot hash's low bits,
-/// which fastRange discards from the slot derivation, as free
-/// fingerprint material.
-inline uint64_t mphfFingerprintMix(uint64_t Base) {
-  return mulFold(Base ^ 0xE7037ED1A0B428DBull, 0xC2B2AE3D27D4EB4Full);
 }
 
 /// Seeded raw-byte mix for key sets without a usable extraction plan
@@ -129,8 +101,11 @@ inline uint64_t mphfRawMix(std::string_view Key, uint64_t Seed) {
   return H;
 }
 
-/// Tunables for buildMphf. Defaults build every paper format at
-/// n = 1e5 in well under a second.
+/// Largest key set buildMphf accepts (bucket offsets are 32-bit).
+constexpr uint64_t MphfMaxKeys = uint64_t{1} << 32;
+
+/// Inputs to buildMphf besides the keys. The construction's shape
+/// (bucket size, leaf size, search bounds) is fixed in mphf.cpp.
 struct MphfBuildOptions {
   /// Extraction front-end: hash keys through this plan to get base
   /// images (ideally a bijective Pext plan). When null and Format is
@@ -141,40 +116,10 @@ struct MphfBuildOptions {
   const FormatSpec *Format = nullptr;
 
   uint64_t Seed = 0x5e7a5e7;
-
-  /// Largest set the Mixer/Displace (exact) tier handles; bigger sets
-  /// go to the Split tier.
-  unsigned ExactMax = 64;
-
-  /// Largest set the single-mixer search is attempted for (the
-  /// success probability n!/n^n collapses past ~a dozen keys).
-  unsigned MixerMax = 12;
-  unsigned MixerTries = 1u << 16;
-
-  /// Split-tier shape: leaves brute-force a bijection at <= LeafMax
-  /// keys; buckets average AvgBucket keys. The defaults keep the
-  /// average bucket well below LeafMax so virtually every lookup is
-  /// leaf-direct (bucket hash -> one cached pilot -> slot, no tree
-  /// descent): at Poisson(4) only ~0.06% of keys sit in buckets past
-  /// 12, so the descent branch is effectively never taken and never
-  /// mispredicted. Raising AvgBucket or lowering LeafMax trades that
-  /// lookup speed for space (fewer 16-byte evaluator bucket entries,
-  /// narrower pilots) and faster builds.
-  unsigned LeafMax = 12;
-  unsigned AvgBucket = 4;
-
-  /// Per-node pilot search bound; overrunning it restarts the whole
-  /// build under the next seed.
-  unsigned PilotLimit = 1u << 20;
-
-  /// Whole-build reseeds before giving up. Exhausting these means the
-  /// input almost certainly contains duplicate keys.
-  unsigned MaxRestarts = 16;
 };
 
 /// A built minimal perfect hash function in storable form.
 struct MphfPlan {
-  MphfTier Tier = MphfTier::Mixer;
   uint64_t N = 0;
   uint64_t Seed = 0;
 
@@ -183,18 +128,12 @@ struct MphfPlan {
   bool RawBase = true;
   std::shared_ptr<const HashPlan> Extract;
 
-  /// Mixer tier: the multiply-fold constant (odd).
-  uint64_t MixerC = 0;
-
-  /// Displace and Split tiers: bucket count of mphfBucketHash.
+  /// Bucket count of mphfBucketHash (a power of two).
   uint32_t NumBuckets = 0;
 
-  /// Displace tier: pilot per bucket.
-  std::vector<uint32_t> Displace;
-
-  /// Split tier: leaf threshold the tree was built with, pilots in DFS
-  /// preorder (concatenated across buckets, one global bit width), and
-  /// the two monotone offset sequences (NumBuckets + 1 entries each):
+  /// Leaf threshold the trees were built with, pilots in DFS preorder
+  /// (concatenated across buckets, one global bit width), and the two
+  /// monotone offset sequences (NumBuckets + 1 entries each):
   /// cumulative key counts and cumulative pilot counts per bucket.
   uint32_t LeafMax = 8;
   PackedArray Pilots;
@@ -236,9 +175,8 @@ public:
   std::shared_ptr<const MphfPlan> planPtr() const { return Plan; }
 
   /// The 64-bit base image the pilot structures consume. Deliberately
-  /// *unmixed*: every consumer (mphfBucketHash, mphfSlotHash,
-  /// mphfFingerprintMix, the Mixer tier's mulFold) applies its own
-  /// finalizer to it, so a finalizer here would only lengthen the
+  /// *unmixed*: both consumers (mphfBucketHash, mphfSlotHash) apply
+  /// their own finalizer to it, so a finalizer here would only lengthen the
   /// lookup's serial dependency chain. The seed xor is a bijection, so
   /// distinct raw images stay distinct under every seed.
   uint64_t baseImage(std::string_view Key) const {
@@ -269,16 +207,7 @@ public:
   /// compiler.
   SlotFp slotFpFromBase(uint64_t BaseImage) const {
     const MphfPlan &P = *Plan;
-    if (P.Tier == MphfTier::Mixer) {
-      const uint64_t X = mulFold(BaseImage, P.MixerC);
-      return {mphfFastRange(X, P.N), X};
-    }
-    const uint64_t Bkt = bucketOf(mphfBucketHash(BaseImage));
-    if (P.Tier == MphfTier::Displace) {
-      const uint64_t X = mphfSlotHash(BaseImage, P.Displace[Bkt]);
-      return {mphfFastRange(X, P.N), X};
-    }
-    const BucketRef &BR = BucketCache[Bkt];
+    const BucketRef &BR = BucketCache[bucketOf(mphfBucketHash(BaseImage))];
     uint32_t Off = BR.Off;
     uint32_t M = BR.Size;
     // Out-of-set keys can land in an empty bucket; keep them in range
@@ -286,7 +215,7 @@ public:
     if (M == 0)
       return {Off == P.N ? 0 : Off, BaseImage};
     uint64_t Pilot = BR.RootPilot;
-    // Common case with the default AvgBucket: the bucket IS a leaf, and
+    // Common case at the builder's bucket size: the bucket IS a leaf, and
     // the cached root pilot means the lookup touched exactly one
     // 16-byte bucket entry — no packed-pilot-array load at all.
     if (M > P.LeafMax) {
@@ -318,8 +247,7 @@ public:
   /// redundant bucket-hash recompute is two multiplies, far cheaper
   /// than the miss it hides once the table outgrows L2.
   void prefetchSlot(uint64_t BaseImage) const {
-    if (Plan->Tier == MphfTier::Split)
-      prefetchRead(&BucketCache[bucketOf(mphfBucketHash(BaseImage))]);
+    prefetchRead(&BucketCache[bucketOf(mphfBucketHash(BaseImage))]);
   }
 
   uint64_t operator()(std::string_view Key) const {
@@ -331,14 +259,13 @@ public:
                  size_t N) const;
 
 private:
-  /// Bucket index of a bucket-hash word. The Split builder sizes its
-  /// bucket count to a power of two, so fastRange degenerates to a
-  /// plain shift (fastRange(X, 2^k) == X >> (64 - k)); the evaluator
-  /// detects that at attach time and skips the multiply. BucketShift
-  /// is 0 for non-power-of-two counts (the Displace tier).
+  /// Bucket index of a bucket-hash word. The bucket count is a power
+  /// of two 2^k, so fastRange degenerates to a plain shift
+  /// (fastRange(X, 2^k) == X >> (64 - k)). A single bucket would need
+  /// a shift by 64, which is undefined; BucketShift is 0 there and
+  /// every key lands in bucket 0.
   uint64_t bucketOf(uint64_t BucketHash) const {
-    return BucketShift != 0 ? BucketHash >> BucketShift
-                            : mphfFastRange(BucketHash, Plan->NumBuckets);
+    return BucketShift != 0 ? BucketHash >> BucketShift : 0;
   }
 
   std::shared_ptr<const MphfPlan> Plan;
@@ -346,10 +273,10 @@ private:
   uint64_t SeedMix = 0;
   unsigned BucketShift = 0;
 
-  /// Split tier, decoded from the plan at attach time: everything a
-  /// lookup needs about its bucket in one 16-byte (quarter-cache-line)
-  /// entry, root pilot included, so the common leaf-direct lookup
-  /// touches a single random line of metadata.
+  /// Decoded from the plan at attach time: everything a lookup needs
+  /// about its bucket in one 16-byte (quarter-cache-line) entry, root
+  /// pilot included, so the common leaf-direct lookup touches a single
+  /// random line of metadata.
   struct BucketRef {
     uint32_t Off;        ///< First slot of the bucket.
     uint32_t Size;       ///< Keys in the bucket.
@@ -362,9 +289,8 @@ private:
 };
 
 /// Builds a minimal perfect hash over \p Keys (distinct; duplicates
-/// are reported as an error after reseeds exhaust). Selects the tier
-/// from |Keys| and verifies the bijection over every key before
-/// returning.
+/// are reported as an error after reseeds exhaust). Verifies the
+/// bijection over every key before returning.
 Expected<Mphf> buildMphf(const std::vector<std::string> &Keys,
                          const MphfBuildOptions &Options = {});
 

@@ -46,38 +46,21 @@ std::string mphfText(const MphfPlan &Plan) {
   std::string Out;
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
-                "mphf %s: n=%" PRIu64 ", seed %s, %.2f bits/key (%zu bytes)\n",
-                mphfTierName(Plan.Tier), Plan.N, hex64(Plan.Seed).c_str(),
-                Plan.bitsPerKey(), Plan.bytesUsed());
+                "mphf: n=%" PRIu64 ", seed %s, %.2f bits/key (%zu bytes)\n",
+                Plan.N, hex64(Plan.Seed).c_str(), Plan.bitsPerKey(),
+                Plan.bytesUsed());
   Out += Buf;
   Out += std::string("  base image: ") + baseDescription(Plan) + '\n';
-  switch (Plan.Tier) {
-  case MphfTier::Mixer:
-    Out += "  mixer constant " + hex64(Plan.MixerC) +
-           ": slot = fastrange(mulfold(base, C), n)\n";
-    break;
-  case MphfTier::Displace:
-    std::snprintf(Buf, sizeof(Buf),
-                  "  displacement table: %u buckets (avg %.1f keys), "
-                  "32-bit pilots\n",
-                  Plan.NumBuckets,
-                  static_cast<double>(Plan.N) / Plan.NumBuckets);
-    Out += Buf;
-    break;
-  case MphfTier::Split:
-    std::snprintf(Buf, sizeof(Buf),
-                  "  splitting tree: %u buckets (avg %.1f keys), leaf max "
-                  "%u\n",
-                  Plan.NumBuckets,
-                  static_cast<double>(Plan.N) / Plan.NumBuckets, Plan.LeafMax);
-    Out += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  pilots: %zu entries @ %u bits (packed), offsets in "
-                  "Elias-Fano\n",
-                  Plan.Pilots.size(), Plan.Pilots.bits());
-    Out += Buf;
-    break;
-  }
+  std::snprintf(Buf, sizeof(Buf),
+                "  splitting tree: %u buckets (avg %.1f keys), leaf max %u\n",
+                Plan.NumBuckets, static_cast<double>(Plan.N) / Plan.NumBuckets,
+                Plan.LeafMax);
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf),
+                "  pilots: %zu entries @ %u bits (packed), offsets in "
+                "Elias-Fano\n",
+                Plan.Pilots.size(), Plan.Pilots.bits());
+  Out += Buf;
   if (!Plan.RawBase && Plan.Extract) {
     Out += "  extraction plan:\n";
     Out += indent4(explainPlan(*Plan.Extract, ExplainFormat::Text));
@@ -87,28 +70,17 @@ std::string mphfText(const MphfPlan &Plan) {
 
 std::string mphfJson(const MphfPlan &Plan) {
   std::string Out = "{";
-  Out += "\"tier\":\"" + std::string(mphfTierName(Plan.Tier)) + "\"";
-  Out += ",\"n\":" + std::to_string(Plan.N);
+  Out += "\"n\":" + std::to_string(Plan.N);
   Out += ",\"seed\":\"" + hex64(Plan.Seed) + "\"";
   Out += std::string(",\"raw_base\":") + (Plan.RawBase ? "true" : "false");
   Out += ",\"bytes\":" + std::to_string(Plan.bytesUsed());
   char Buf[48];
   std::snprintf(Buf, sizeof(Buf), "%.4f", Plan.bitsPerKey());
   Out += ",\"bits_per_key\":" + std::string(Buf);
-  switch (Plan.Tier) {
-  case MphfTier::Mixer:
-    Out += ",\"mixer\":\"" + hex64(Plan.MixerC) + "\"";
-    break;
-  case MphfTier::Displace:
-    Out += ",\"buckets\":" + std::to_string(Plan.NumBuckets);
-    break;
-  case MphfTier::Split:
-    Out += ",\"buckets\":" + std::to_string(Plan.NumBuckets);
-    Out += ",\"leaf_max\":" + std::to_string(Plan.LeafMax);
-    Out += ",\"pilot_count\":" + std::to_string(Plan.Pilots.size());
-    Out += ",\"pilot_bits\":" + std::to_string(Plan.Pilots.bits());
-    break;
-  }
+  Out += ",\"buckets\":" + std::to_string(Plan.NumBuckets);
+  Out += ",\"leaf_max\":" + std::to_string(Plan.LeafMax);
+  Out += ",\"pilot_count\":" + std::to_string(Plan.Pilots.size());
+  Out += ",\"pilot_bits\":" + std::to_string(Plan.Pilots.bits());
   if (!Plan.RawBase && Plan.Extract) {
     std::string Inner = explainPlan(*Plan.Extract, ExplainFormat::Json);
     while (!Inner.empty() && Inner.back() == '\n')
@@ -126,43 +98,24 @@ std::string mphfDot(const MphfPlan &Plan) {
   Out += "  node [shape=box fontname=\"monospace\" fontsize=10];\n";
   char Buf[160];
   std::snprintf(Buf, sizeof(Buf),
-                "  label=\"mphf %s: n=%" PRIu64 ", %.2f bits/key\";\n",
-                mphfTierName(Plan.Tier), Plan.N, Plan.bitsPerKey());
+                "  label=\"mphf: n=%" PRIu64 ", %.2f bits/key\";\n", Plan.N,
+                Plan.bitsPerKey());
   Out += Buf;
   Out += "  key [label=\"key bytes\" shape=note];\n";
   Out += std::string("  base [label=\"") + baseDescription(Plan) + "\"];\n";
   Out += "  key -> base;\n";
-  switch (Plan.Tier) {
-  case MphfTier::Mixer:
-    Out += "  mix [label=\"mulfold with " + hex64(Plan.MixerC) + "\"];\n";
-    Out += "  base -> mix;\n";
-    Out += "  slot [label=\"fastrange -> [0,n)\" shape=ellipse];\n";
-    Out += "  mix -> slot;\n";
-    break;
-  case MphfTier::Displace:
-    std::snprintf(Buf, sizeof(Buf),
-                  "  bucket [label=\"bucket hash\\n%u buckets\"];\n",
-                  Plan.NumBuckets);
-    Out += Buf;
-    Out += "  pilot [label=\"displacement pilot\"];\n";
-    Out += "  slot [label=\"fastrange -> [0,n)\" shape=ellipse];\n";
-    Out += "  base -> bucket -> pilot -> slot;\n";
-    break;
-  case MphfTier::Split:
-    std::snprintf(Buf, sizeof(Buf),
-                  "  bucket [label=\"bucket hash\\n%u buckets\\n"
-                  "Elias-Fano offsets\"];\n",
-                  Plan.NumBuckets);
-    Out += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  tree [label=\"splitting tree\\n%zu pilots @ %u bits\\n"
-                  "leaf max %u\"];\n",
-                  Plan.Pilots.size(), Plan.Pilots.bits(), Plan.LeafMax);
-    Out += Buf;
-    Out += "  slot [label=\"bucket offset + leaf slot\" shape=ellipse];\n";
-    Out += "  base -> bucket -> tree -> slot;\n";
-    break;
-  }
+  std::snprintf(Buf, sizeof(Buf),
+                "  bucket [label=\"bucket hash\\n%u buckets\\n"
+                "Elias-Fano offsets\"];\n",
+                Plan.NumBuckets);
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf),
+                "  tree [label=\"splitting tree\\n%zu pilots @ %u bits\\n"
+                "leaf max %u\"];\n",
+                Plan.Pilots.size(), Plan.Pilots.bits(), Plan.LeafMax);
+  Out += Buf;
+  Out += "  slot [label=\"bucket offset + leaf slot\" shape=ellipse];\n";
+  Out += "  base -> bucket -> tree -> slot;\n";
   Out += "}\n";
   return Out;
 }

@@ -8,7 +8,9 @@
 
 #include "core/plan_io.h"
 
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -16,7 +18,7 @@ using namespace sepe;
 
 namespace {
 
-constexpr const char *Magic = "sepe-mphf v1";
+constexpr const char *Magic = "sepe-mphf v2";
 
 std::string hex64(uint64_t Value) {
   char Buffer[32];
@@ -71,44 +73,39 @@ Error lineError(size_t LineNo, const std::string &Message) {
                std::string::npos};
 }
 
+/// Pilots the builder stores for a bucket of \p M keys: none when it
+/// is empty, one per leaf (at most \p LeafMax keys) and one per
+/// interior node. Costs O(result) time, so callers bound M first.
+uint64_t splitNodeCount(uint64_t M, uint64_t LeafMax) {
+  if (M == 0)
+    return 0;
+  if (M <= LeafMax)
+    return 1;
+  return 1 + splitNodeCount(M / 2, LeafMax) +
+         splitNodeCount(M - M / 2, LeafMax);
+}
+
 } // namespace
 
 std::string sepe::serializeMphf(const MphfPlan &Plan) {
   std::string Out;
   Out += Magic;
   Out += '\n';
-  Out += std::string("tier ") + mphfTierName(Plan.Tier) + '\n';
   Out += "n " + std::to_string(Plan.N) + '\n';
   Out += "seed " + hex64(Plan.Seed) + '\n';
-
-  switch (Plan.Tier) {
-  case MphfTier::Mixer:
-    Out += "mixer " + hex64(Plan.MixerC) + '\n';
-    break;
-  case MphfTier::Displace: {
-    Out += "buckets " + std::to_string(Plan.NumBuckets) + '\n';
-    Out += "displace " + std::to_string(Plan.Displace.size()) + '\n';
-    std::vector<uint64_t> Values(Plan.Displace.begin(), Plan.Displace.end());
-    appendValueLines(Out, 'd', Values);
-    break;
-  }
-  case MphfTier::Split: {
-    Out += "buckets " + std::to_string(Plan.NumBuckets) + '\n';
-    Out += "leafmax " + std::to_string(Plan.LeafMax) + '\n';
-    std::vector<uint64_t> Pilots(Plan.Pilots.size());
-    for (size_t I = 0; I != Pilots.size(); ++I)
-      Pilots[I] = Plan.Pilots.get(I);
-    Out += "pilots " + std::to_string(Pilots.size()) + '\n';
-    appendValueLines(Out, 'p', Pilots);
-    const std::vector<uint64_t> Offsets = Plan.Offsets.decode();
-    Out += "offsets " + std::to_string(Offsets.size()) + '\n';
-    appendValueLines(Out, 'o', Offsets);
-    const std::vector<uint64_t> Starts = Plan.PilotStarts.decode();
-    Out += "pilotstarts " + std::to_string(Starts.size()) + '\n';
-    appendValueLines(Out, 's', Starts);
-    break;
-  }
-  }
+  Out += "buckets " + std::to_string(Plan.NumBuckets) + '\n';
+  Out += "leafmax " + std::to_string(Plan.LeafMax) + '\n';
+  std::vector<uint64_t> Pilots(Plan.Pilots.size());
+  for (size_t I = 0; I != Pilots.size(); ++I)
+    Pilots[I] = Plan.Pilots.get(I);
+  Out += "pilots " + std::to_string(Pilots.size()) + '\n';
+  appendValueLines(Out, 'p', Pilots);
+  const std::vector<uint64_t> Offsets = Plan.Offsets.decode();
+  Out += "offsets " + std::to_string(Offsets.size()) + '\n';
+  appendValueLines(Out, 'o', Offsets);
+  const std::vector<uint64_t> Starts = Plan.PilotStarts.decode();
+  Out += "pilotstarts " + std::to_string(Starts.size()) + '\n';
+  appendValueLines(Out, 's', Starts);
 
   if (!Plan.RawBase && Plan.Extract) {
     Out += "plan\n";
@@ -121,9 +118,9 @@ std::string sepe::serializeMphf(const MphfPlan &Plan) {
 Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
   MphfPlan Plan;
   Plan.RawBase = true;
-  bool SawMagic = false, SawTier = false, SawN = false;
-  size_t DisplaceCount = 0, PilotCount = 0, OffsetCount = 0, StartCount = 0;
-  std::vector<uint64_t> Displace, Pilots, Offsets, Starts;
+  bool SawMagic = false, SawN = false;
+  size_t PilotCount = 0, OffsetCount = 0, StartCount = 0;
+  std::vector<uint64_t> Pilots, Offsets, Starts;
   bool InPlan = false;
   std::string PlanText;
 
@@ -159,7 +156,7 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
 
     if (!SawMagic) {
       if (Line != Magic)
-        return lineError(LineNo, "expected the 'sepe-mphf v1' header");
+        return lineError(LineNo, "expected the 'sepe-mphf v2' header");
       SawMagic = true;
       continue;
     }
@@ -186,24 +183,20 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
       return true;
     };
 
-    if (Key == "tier") {
-      if (Tokens.size() != 2 || !parseMphfTier(Tokens[1], Plan.Tier))
-        return lineError(LineNo, "tier requires Mixer|Displace|Split");
-      SawTier = true;
-    } else if (Key == "n") {
-      if (Tokens.size() != 2 || !parseU64(Tokens[1], Plan.N))
-        return lineError(LineNo, "n requires one integer");
+    if (Key == "n") {
+      if (Tokens.size() != 2 || !parseU64(Tokens[1], Plan.N) || Plan.N == 0 ||
+          Plan.N > MphfMaxKeys)
+        return lineError(LineNo, "n requires an integer in [1,2^32]");
       SawN = true;
     } else if (Key == "seed") {
       if (Tokens.size() != 2 || !parseU64(Tokens[1], Plan.Seed))
         return lineError(LineNo, "seed requires one integer");
-    } else if (Key == "mixer") {
-      if (Tokens.size() != 2 || !parseU64(Tokens[1], Plan.MixerC))
-        return lineError(LineNo, "mixer requires one constant");
     } else if (Key == "buckets") {
       uint64_t Value = 0;
-      if (Tokens.size() != 2 || !parseU64(Tokens[1], Value))
-        return lineError(LineNo, "buckets requires one integer");
+      if (Tokens.size() != 2 || !parseU64(Tokens[1], Value) ||
+          Value > UINT32_MAX || !std::has_single_bit(Value))
+        return lineError(LineNo,
+                         "buckets requires a 32-bit power of two");
       Plan.NumBuckets = static_cast<uint32_t>(Value);
     } else if (Key == "leafmax") {
       uint64_t Value = 0;
@@ -211,9 +204,6 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
           Value > 64)
         return lineError(LineNo, "leafmax requires an integer in [1,64]");
       Plan.LeafMax = static_cast<uint32_t>(Value);
-    } else if (Key == "displace") {
-      if (!parseCount(DisplaceCount))
-        return lineError(LineNo, "displace requires one count");
     } else if (Key == "pilots") {
       if (!parseCount(PilotCount))
         return lineError(LineNo, "pilots requires one count");
@@ -223,9 +213,6 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
     } else if (Key == "pilotstarts") {
       if (!parseCount(StartCount))
         return lineError(LineNo, "pilotstarts requires one count");
-    } else if (Key == "d") {
-      if (!parseValues(Displace, DisplaceCount))
-        return lineError(LineNo, "malformed or excess displace values");
     } else if (Key == "p") {
       if (!parseValues(Pilots, PilotCount))
         return lineError(LineNo, "malformed or excess pilot values");
@@ -245,40 +232,43 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
   }
 
   if (!SawMagic)
-    return Error{"empty plan: missing 'sepe-mphf v1' header"};
+    return Error{"empty plan: missing 'sepe-mphf v2' header"};
   if (InPlan)
     return Error{"unterminated embedded plan: missing 'endplan'"};
-  if (!SawTier || !SawN || Plan.N == 0)
-    return Error{"incomplete MPHF plan: tier and n are required"};
-
-  switch (Plan.Tier) {
-  case MphfTier::Mixer:
-    if (Plan.MixerC == 0)
-      return Error{"Mixer tier requires a mixer constant"};
-    break;
-  case MphfTier::Displace:
-    if (Plan.NumBuckets == 0 || Displace.size() != DisplaceCount ||
-        DisplaceCount != Plan.NumBuckets)
-      return Error{"Displace tier requires buckets and a full table"};
-    Plan.Displace.assign(Displace.begin(), Displace.end());
-    break;
-  case MphfTier::Split: {
-    if (Plan.NumBuckets == 0 || Pilots.size() != PilotCount ||
-        Offsets.size() != OffsetCount || Starts.size() != StartCount ||
-        OffsetCount != Plan.NumBuckets + 1 ||
-        StartCount != Plan.NumBuckets + 1)
-      return Error{"Split tier requires buckets, pilots and both offset "
-                   "sequences"};
-    for (size_t I = 0; I + 1 < Offsets.size(); ++I)
-      if (Offsets[I] > Offsets[I + 1] || Starts[I] > Starts[I + 1])
-        return Error{"offset sequences must be monotone"};
-    if (Offsets.back() != Plan.N || Starts.back() != Pilots.size())
-      return Error{"offset sequences disagree with n / pilot count"};
-    Plan.Pilots = PackedArray::pack(Pilots);
-    Plan.Offsets = EliasFano::encode(Offsets);
-    Plan.PilotStarts = EliasFano::encode(Starts);
-    break;
+  if (!SawN)
+    return Error{"incomplete MPHF plan: n is required"};
+  if (Plan.NumBuckets == 0 || Pilots.size() != PilotCount ||
+      Offsets.size() != OffsetCount || Starts.size() != StartCount ||
+      OffsetCount != Plan.NumBuckets + size_t{1} ||
+      StartCount != Plan.NumBuckets + size_t{1})
+    return Error{"MPHF plan requires buckets, pilots and both offset "
+                 "sequences"};
+  if (Offsets.back() != Plan.N || Starts.back() != Pilots.size())
+    return Error{"offset sequences disagree with n / pilot count"};
+  for (size_t I = 0; I + 1 < Offsets.size(); ++I)
+    if (Offsets[I] > Offsets[I + 1] || Starts[I] > Starts[I + 1])
+      return Error{"offset sequences must be monotone"};
+  // The evaluator walks each bucket's tree by node counts alone, so
+  // every bucket must hold exactly the pilots the builder stores for
+  // its size. The size bound (a tree needs at least one pilot per
+  // LeafMax keys) runs first, which keeps the count linear in the
+  // pilots the file actually lists.
+  for (size_t I = 0; I + 1 < Offsets.size(); ++I) {
+    const uint64_t Size = Offsets[I + 1] - Offsets[I];
+    const uint64_t Span = Starts[I + 1] - Starts[I];
+    if (Size > Span * Plan.LeafMax ||
+        splitNodeCount(Size, Plan.LeafMax) != Span)
+      return Error{"bucket " + std::to_string(I) +
+                   ": pilot count does not match a split tree over " +
+                   std::to_string(Size) + " keys"};
   }
-  }
+  // The evaluator caches root pilots as 32-bit words (the builder's
+  // search never goes past 2^20).
+  for (uint64_t Pilot : Pilots)
+    if (Pilot > UINT32_MAX)
+      return Error{"pilot values must fit 32 bits"};
+  Plan.Pilots = PackedArray::pack(Pilots);
+  Plan.Offsets = EliasFano::encode(Offsets);
+  Plan.PilotStarts = EliasFano::encode(Starts);
   return Plan;
 }

@@ -11,12 +11,11 @@
 /// --mphf-in). The extraction front-end, when present, embeds its
 /// serializePlan text verbatim between 'plan' and 'endplan':
 ///
-///   sepe-mphf v1
-///   tier Split
+///   sepe-mphf v2
 ///   n 100000
-///   seed 0x00000000005e7a5e7
-///   buckets 3125
-///   leafmax 8
+///   seed 0x0000000005e7a5e7
+///   buckets 32768
+///   leafmax 12
 ///   pilots 4231
 ///   p 12 5 0 9 31 2 2 7
 ///   ...
@@ -50,7 +49,10 @@ namespace sepe {
 std::string serializeMphf(const MphfPlan &Plan);
 
 /// Parses a plan previously produced by serializeMphf. Fails with a
-/// line-numbered message on malformed input; round-trips every field.
+/// line-numbered message on malformed input, and rejects any plan the
+/// evaluator could not walk: a bucket count that is not a power of
+/// two, n past MphfMaxKeys, or a bucket whose pilot count differs from
+/// the split tree's node count for its size. Round-trips every field.
 Expected<MphfPlan> deserializeMphf(std::string_view Text);
 
 } // namespace sepe

@@ -16,7 +16,6 @@ using namespace sepe::quality;
 MphfReport quality::measureMphf(const Mphf &F, const std::string_view *Keys,
                                 size_t N) {
   MphfReport Report;
-  Report.Tier = F.valid() ? mphfTierName(F.plan().Tier) : "invalid";
   Report.N = N;
   if (!F.valid() || N == 0)
     return Report;
@@ -56,7 +55,6 @@ std::string MphfReport::toJson() const {
   char Buf[64];
   std::string Out = "{";
   Out += "\"format\":\"" + Format + "\"";
-  Out += ",\"tier\":\"" + Tier + "\"";
   Out += ",\"n\":" + std::to_string(N);
   Out += ",\"collisions\":" + std::to_string(Collisions);
   Out += ",\"out_of_range\":" + std::to_string(OutOfRange);

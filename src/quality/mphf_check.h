@@ -30,7 +30,6 @@ namespace quality {
 /// One structural scorecard row for a built MPHF.
 struct MphfReport {
   std::string Format; ///< Label (paper key name), set by the caller.
-  std::string Tier;   ///< mphfTierName of the measured plan.
 
   uint64_t N = 0;          ///< Keys checked.
   uint64_t Collisions = 0; ///< Pairs of keys sharing an index.

@@ -382,8 +382,7 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
   quality::MphfReport Report =
       quality::measureMphf(*F, Views.data(), Views.size());
   Report.Format = paperKeyName(Key);
-  std::printf("mphf: key=%s n=%zu tier=%s base=%s\n", paperKeyName(Key), N,
-              Report.Tier.c_str(),
+  std::printf("mphf: key=%s n=%zu base=%s\n", paperKeyName(Key), N,
               F->plan().RawBase ? "raw bytes" : "pext extraction");
   std::printf("build: %.2f ms (%.0f keys/ms), %.2f bits/key\n", BuildMs,
               BuildMs > 0 ? static_cast<double>(N) / BuildMs : 0.0,

@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The MPHF subsystem: packed/Elias-Fano storage primitives, the three
-// construction tiers (Mixer/Displace/Split), the bijectivity
-// acceptance matrix over every paper format, serialization round-trips
-// and the explain renderings.
+// The MPHF subsystem: packed/Elias-Fano storage primitives, the split
+// construction from one key up, the bijectivity acceptance matrix over
+// every paper format, serialization round-trips (and the loader's
+// rejection of plans the evaluator cannot walk) and the explain
+// renderings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,31 +106,13 @@ TEST(EliasFanoTest, BeatsPlainWordsOnDenseSequences) {
 }
 
 //===----------------------------------------------------------------------===//
-// Construction tiers
+// Construction
 //===----------------------------------------------------------------------===//
-
-TEST(MphfBuildTest, TinySetsUseTheMixerTier) {
-  const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 8);
-  Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
-  ASSERT_TRUE(F) << F.error().Message;
-  EXPECT_EQ(F->plan().Tier, MphfTier::Mixer);
-  EXPECT_FALSE(F->plan().RawBase) << "SSN extraction must be usable";
-  EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect());
-}
-
-TEST(MphfBuildTest, SmallSetsUseTheDisplaceTier) {
-  const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 64);
-  Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
-  ASSERT_TRUE(F) << F.error().Message;
-  EXPECT_EQ(F->plan().Tier, MphfTier::Displace);
-  EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect());
-}
 
 TEST(MphfBuildTest, LargeSetsUseTheSplitTier) {
   const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 1000);
   Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
   ASSERT_TRUE(F) << F.error().Message;
-  EXPECT_EQ(F->plan().Tier, MphfTier::Split);
   EXPECT_GT(F->plan().Pilots.size(), 0u);
   EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect());
   // The space story: a handful of bits per key, not a stored key set.
@@ -137,11 +120,33 @@ TEST(MphfBuildTest, LargeSetsUseTheSplitTier) {
 }
 
 TEST(MphfBuildTest, SingleKeyAndPairAreHandled) {
-  for (size_t N : {1u, 2u}) {
-    const std::vector<std::string> Keys = paperKeys(PaperKey::MAC, N);
-    Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::MAC));
-    ASSERT_TRUE(F) << "n=" << N << ": " << F.error().Message;
-    EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect()) << "n=" << N;
+  // Every small size through the one construction, over extracted and
+  // raw base images. Up to four keys the plan has a single bucket, so
+  // bucket selection must not shift the 64-bit hash by 64. Each plan
+  // also has to survive the loader's structural checks.
+  for (bool Raw : {false, true}) {
+    for (size_t N = 1; N <= 64; ++N) {
+      std::vector<std::string> Keys;
+      if (Raw)
+        for (size_t I = 0; I != N; ++I)
+          Keys.push_back("raw/" + std::to_string(I * 104729) +
+                         std::string(I % 7, '~'));
+      else
+        Keys = paperKeys(PaperKey::MAC, N);
+      Expected<Mphf> F = Raw ? buildMphf(Keys)
+                             : buildMphf(Keys, formatOptions(PaperKey::MAC));
+      ASSERT_TRUE(F) << "n=" << N << ": " << F.error().Message;
+      EXPECT_EQ(F->plan().RawBase, Raw) << "n=" << N;
+      if (N <= 4) {
+        EXPECT_EQ(F->plan().NumBuckets, 1u) << "n=" << N;
+      }
+      EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect()) << "n=" << N;
+      Expected<MphfPlan> Back = deserializeMphf(serializeMphf(F->plan()));
+      ASSERT_TRUE(Back) << "n=" << N << ": " << Back.error().Message;
+      const Mphf G(std::make_shared<const MphfPlan>(Back.take()));
+      for (const std::string &Key : Keys)
+        ASSERT_EQ(G(Key), (*F)(Key)) << "n=" << N << " " << Key;
+    }
   }
 }
 
@@ -263,19 +268,6 @@ TEST(MphfIoTest, SplitTierRoundTrips) {
     ASSERT_EQ(G(Key), (*F)(Key)) << Key;
 }
 
-TEST(MphfIoTest, MixerAndDisplaceTiersRoundTrip) {
-  for (size_t N : {6u, 48u}) {
-    const std::vector<std::string> Keys = paperKeys(PaperKey::MAC, N);
-    Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::MAC));
-    ASSERT_TRUE(F) << F.error().Message;
-    Expected<MphfPlan> Back = deserializeMphf(serializeMphf(F->plan()));
-    ASSERT_TRUE(Back) << "n=" << N << ": " << Back.error().Message;
-    const Mphf G(std::make_shared<const MphfPlan>(Back.take()));
-    for (const std::string &Key : Keys)
-      ASSERT_EQ(G(Key), (*F)(Key)) << Key;
-  }
-}
-
 TEST(MphfIoTest, RawBasePlansRoundTripWithoutAnEmbeddedPlan) {
   std::vector<std::string> Keys;
   for (int I = 0; I != 200; ++I)
@@ -295,13 +287,47 @@ TEST(MphfIoTest, RawBasePlansRoundTripWithoutAnEmbeddedPlan) {
 TEST(MphfIoTest, MalformedInputsFailWithLineNumbers) {
   EXPECT_FALSE(deserializeMphf(""));
   EXPECT_FALSE(deserializeMphf("not-a-plan\n"));
-  EXPECT_FALSE(deserializeMphf("sepe-mphf v1\ntier Split\n"));
-  EXPECT_FALSE(deserializeMphf("sepe-mphf v1\ntier Nope\nn 4\n"));
+  EXPECT_FALSE(deserializeMphf("sepe-mphf v1\nn 4\n"));
+  EXPECT_FALSE(deserializeMphf("sepe-mphf v2\nn 4\n"));
+  EXPECT_FALSE(deserializeMphf("sepe-mphf v2\ntier Split\nn 4\n"));
   Expected<MphfPlan> Unterminated =
-      deserializeMphf("sepe-mphf v1\ntier Mixer\nn 4\nmixer 0x3\nplan\n");
+      deserializeMphf("sepe-mphf v2\nn 4\nplan\n");
   ASSERT_FALSE(Unterminated);
   EXPECT_NE(Unterminated.error().Message.find("endplan"),
             std::string::npos);
+
+  // Well-formed line by line, but not a plan the evaluator can walk.
+  const auto Split = [](const char *N, const char *Buckets,
+                        const char *Offsets, const char *Starts,
+                        const char *Pilot = "3") {
+    return std::string("sepe-mphf v2\nn ") + N + "\nseed 1\nbuckets " +
+           Buckets + "\nleafmax 8\npilots 1\np " + Pilot + "\n" + Offsets +
+           Starts;
+  };
+  // One 40-key bucket needs a 15-node split tree, not one pilot.
+  Expected<MphfPlan> ShortTree = deserializeMphf(
+      Split("40", "1", "offsets 2\no 0 40\n", "pilotstarts 2\ns 0 1\n"));
+  ASSERT_FALSE(ShortTree);
+  EXPECT_NE(ShortTree.error().Message.find("bucket 0"), std::string::npos)
+      << ShortTree.error().Message;
+  // Bucket selection is a shift: the count must be a power of two.
+  Expected<MphfPlan> ThreeBuckets =
+      deserializeMphf(Split("3", "3", "offsets 4\no 0 1 2 3\n",
+                            "pilotstarts 4\ns 0 1 1 1\n"));
+  ASSERT_FALSE(ThreeBuckets);
+  EXPECT_NE(ThreeBuckets.error().Message.find("line 4"), std::string::npos)
+      << ThreeBuckets.error().Message;
+  // Past the builder's 2^32-key limit.
+  EXPECT_FALSE(deserializeMphf(Split("4294967297", "1",
+                                     "offsets 2\no 0 4294967297\n",
+                                     "pilotstarts 2\ns 0 1\n")));
+  // A pilot wider than the evaluator's 32-bit root-pilot cache.
+  EXPECT_FALSE(deserializeMphf(Split("8", "1", "offsets 2\no 0 8\n",
+                                     "pilotstarts 2\ns 0 1\n",
+                                     "288230376151711744")));
+  // The same shape with a consistent tree loads.
+  EXPECT_TRUE(deserializeMphf(
+      Split("8", "1", "offsets 2\no 0 8\n", "pilotstarts 2\ns 0 1\n")));
 }
 
 TEST(MphfExplainTest, AllThreeFormatsRender) {
@@ -310,7 +336,7 @@ TEST(MphfExplainTest, AllThreeFormatsRender) {
   ASSERT_TRUE(F) << F.error().Message;
 
   const std::string Text = explainMphf(F->plan(), ExplainFormat::Text);
-  EXPECT_NE(Text.find("mphf Split"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("splitting tree"), std::string::npos) << Text;
   EXPECT_NE(Text.find("bits/key"), std::string::npos);
   EXPECT_NE(Text.find("extraction plan"), std::string::npos)
       << "embedded front-end must render";
@@ -319,26 +345,14 @@ TEST(MphfExplainTest, AllThreeFormatsRender) {
   const std::string Json = explainMphf(F->plan(), ExplainFormat::Json);
   Expected<json::Value> Doc = json::parse(Json);
   ASSERT_TRUE(Doc) << Doc.error().Message;
-  EXPECT_EQ(Doc->stringOr("tier", ""), "Split");
   EXPECT_EQ(Doc->numberOr("n", 0), 1000.0);
+  EXPECT_EQ(Doc->numberOr("buckets", 0),
+            static_cast<double>(F->plan().NumBuckets));
   EXPECT_TRUE(Doc->find("extract") != nullptr);
 
   const std::string Dot = explainMphf(F->plan(), ExplainFormat::Dot);
   EXPECT_NE(Dot.find("digraph sepe_mphf"), std::string::npos);
   EXPECT_NE(Dot.find("->"), std::string::npos);
-}
-
-TEST(MphfExplainTest, MixerTierRendersItsConstant) {
-  const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 4);
-  Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
-  ASSERT_TRUE(F) << F.error().Message;
-  ASSERT_EQ(F->plan().Tier, MphfTier::Mixer);
-  const std::string Text = explainMphf(F->plan(), ExplainFormat::Text);
-  EXPECT_NE(Text.find("mixer constant"), std::string::npos) << Text;
-  Expected<json::Value> Doc =
-      json::parse(explainMphf(F->plan(), ExplainFormat::Json));
-  ASSERT_TRUE(Doc) << Doc.error().Message;
-  EXPECT_NE(Doc->stringOr("mixer", ""), "");
 }
 
 } // namespace

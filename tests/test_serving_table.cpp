@@ -281,48 +281,52 @@ TEST(ServingTableTest, HotSwapUnderConcurrentTrafficLosesNoLookups) {
 }
 
 TEST(ServingTableStaticTest, SealStaticServesSealedKeysExactly) {
-  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
-  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 500, 11);
-  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
-  for (size_t I = 0; I != Keys.size(); ++I)
-    Table.put(Keys[I], I);
+  // A whole table and a three-key one (a single MPHF bucket).
+  for (size_t N : {size_t{500}, size_t{3}}) {
+    SCOPED_TRACE("n=" + std::to_string(N));
+    ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+    const std::vector<std::string> Keys = distinctKeys(SsnRegex, N, 11);
+    std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+    for (size_t I = 0; I != Keys.size(); ++I)
+      Table.put(Keys[I], I);
 
-  EXPECT_FALSE(Table.staticLaneActive());
-  EXPECT_EQ(Table.sealStatic(Views), Keys.size());
-  ASSERT_TRUE(Table.staticLaneActive());
-  const auto Stats = Table.stats();
-  EXPECT_TRUE(Stats.StaticActive);
-  EXPECT_EQ(Stats.StaticSize, Keys.size());
+    EXPECT_FALSE(Table.staticLaneActive());
+    EXPECT_EQ(Table.sealStatic(Views), Keys.size());
+    ASSERT_TRUE(Table.staticLaneActive());
+    const auto Stats = Table.stats();
+    EXPECT_TRUE(Stats.StaticActive);
+    EXPECT_EQ(Stats.StaticSize, Keys.size());
 
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    uint64_t V = ~0ull;
-    ASSERT_TRUE(Table.get(Keys[I], V)) << Keys[I];
-    ASSERT_EQ(V, I);
-  }
-  // Out-of-set keys must miss: the exact key compare catches any
-  // fingerprint false positive, so the static lane never serves a
-  // wrong value.
-  const std::vector<std::string> Absent = distinctKeys(SsnRegex, 500, 12);
-  for (const std::string &Key : Absent) {
-    uint64_t V = 0;
-    bool InSealed = false;
-    for (const std::string &K : Keys)
-      InSealed |= K == Key;
-    if (!InSealed) {
-      EXPECT_FALSE(Table.get(Key, V)) << Key;
+    for (size_t I = 0; I != Keys.size(); ++I) {
+      uint64_t V = ~0ull;
+      ASSERT_TRUE(Table.get(Keys[I], V)) << Keys[I];
+      ASSERT_EQ(V, I);
     }
-  }
+    // Out-of-set keys must miss: the exact key compare catches any
+    // fingerprint false positive, so the static lane never serves a
+    // wrong value.
+    const std::vector<std::string> Absent = distinctKeys(SsnRegex, 500, 12);
+    for (const std::string &Key : Absent) {
+      uint64_t V = 0;
+      bool InSealed = false;
+      for (const std::string &K : Keys)
+        InSealed |= K == Key;
+      if (!InSealed) {
+        EXPECT_FALSE(Table.get(Key, V)) << Key;
+      }
+    }
 
-  // The batch path runs through the MPHF's fused base kernels; it must
-  // agree with scalar gets.
-  std::vector<uint64_t> Out(Views.size(), ~0ull);
-  std::vector<uint8_t> Found(Views.size(), 0);
-  EXPECT_EQ(
-      Table.getBatch(Views.data(), Out.data(), Found.data(), Views.size()),
-      Views.size());
-  for (size_t I = 0; I != Views.size(); ++I) {
-    ASSERT_TRUE(Found[I]) << Views[I];
-    ASSERT_EQ(Out[I], I);
+    // The batch path runs through the MPHF's fused base kernels; it
+    // must agree with scalar gets.
+    std::vector<uint64_t> Out(Views.size(), ~0ull);
+    std::vector<uint8_t> Found(Views.size(), 0);
+    EXPECT_EQ(
+        Table.getBatch(Views.data(), Out.data(), Found.data(), Views.size()),
+        Views.size());
+    for (size_t I = 0; I != Views.size(); ++I) {
+      ASSERT_TRUE(Found[I]) << Views[I];
+      ASSERT_EQ(Out[I], I);
+    }
   }
 }
 
