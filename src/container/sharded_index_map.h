@@ -60,7 +60,6 @@
 #include "container/flat_index_map.h"
 #include "core/key_pattern.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <algorithm>
 #include <atomic>
@@ -254,26 +253,6 @@ public:
             ", \"unique_contended\": " + std::to_string(Sum.UniqueContended) +
             "}}";
     return Json;
-  }
-
-  /// Mirrors the per-shard counters into telemetry histograms — one
-  /// sample per shard, so the exported histogram is the cross-shard
-  /// distribution (a hot shard shows up as a long tail). No-op without
-  /// -DSEPE_TELEMETRY=ON.
-  void recordContentionTelemetry() const {
-#if defined(SEPE_TELEMETRY)
-    for (size_t I = 0; I != shardCount(); ++I) {
-      const ShardContention C = shardContention(I);
-      SEPE_RECORD("sharded_index_map.shard.shared_acquires",
-                  C.SharedAcquires);
-      SEPE_RECORD("sharded_index_map.shard.shared_contended",
-                  C.SharedContended);
-      SEPE_RECORD("sharded_index_map.shard.unique_acquires",
-                  C.UniqueAcquires);
-      SEPE_RECORD("sharded_index_map.shard.unique_contended",
-                  C.UniqueContended);
-    }
-#endif
   }
 
   /// Inserts (key, value); returns false (keeping the old value) when
@@ -533,7 +512,7 @@ public:
   ProbeResult getGuarded(std::string_view Key, Value &Out) const {
     const Table *T = active();
     if (!T->Pattern.matches(Key)) {
-      SEPE_TRACE_INSTANT(GuardReject, T->Epoch, 0);
+      SEPE_EVENT("sharded.guard.reject", T->Epoch, 0);
       return ProbeResult::NotAdmitted;
     }
     const uint64_t Image = T->Hash(Key);
@@ -553,7 +532,7 @@ public:
   bool putGuarded(std::string_view Key, Value V, bool &Inserted) {
     Table *T = activeMutable();
     if (!T->Pattern.matches(Key)) {
-      SEPE_TRACE_INSTANT(GuardReject, T->Epoch, 1);
+      SEPE_EVENT("sharded.guard.reject", T->Epoch, 1);
       return false;
     }
     const uint64_t Image = T->Hash(Key);
@@ -569,7 +548,7 @@ public:
   bool eraseGuarded(std::string_view Key, bool &Erased) {
     Table *T = activeMutable();
     if (!T->Pattern.matches(Key)) {
-      SEPE_TRACE_INSTANT(GuardReject, T->Epoch, 2);
+      SEPE_EVENT("sharded.guard.reject", T->Epoch, 2);
       return false;
     }
     const uint64_t Image = T->Hash(Key);
@@ -590,8 +569,7 @@ public:
   /// \p NewHash must be bijective.
   void migrate(SynthesizedHash NewHash, KeyPattern NewPattern,
                uint64_t NewLabel) {
-    SEPE_SPAN("sharded_index_map.migrate");
-    SEPE_TRACE_SPAN(TraceSpan, MigrateShards, NewLabel);
+    SEPE_SPAN("sharded.migrate", Migrate, NewLabel);
     std::lock_guard<std::mutex> MigrateLock(MigrateMutex);
     Table *Old = activeMutable();
     auto Next = std::make_unique<Table>(
@@ -605,17 +583,15 @@ public:
     for (size_t I = 0; I != Old->Shards.size(); ++I) {
       Shard &S = *Old->Shards[I];
       std::unique_lock<std::shared_mutex> Lock(S.Mutex);
-      SEPE_TRACE_INSTANT(ShardSeal, NewLabel, I);
+      SEPE_EVENT("sharded.shard.seal", NewLabel, I);
       S.Sealed = true;
-      SEPE_TRACE_SPAN(CopySpan, ShardCopy, NewLabel);
-      CopySpan.setArg(I);
+      SEPE_SPAN("sharded.shard.copy", Copy, NewLabel);
+      Copy.setArg(I);
       Copied += copyShardLocked(S, *Old, *Next);
     }
-    SEPE_COUNT_N("sharded_index_map.migrate.entries", Copied);
-    SEPE_COUNT("sharded_index_map.migrate.completed");
     Active.store(Next.get(), std::memory_order_release);
-    SEPE_TRACE_INSTANT(MigratePublish, NewLabel, Copied);
-    TraceSpan.setArg(Copied);
+    SEPE_EVENT("sharded.migrate.publish", NewLabel, Copied);
+    Migrate.setArg(Copied);
     Migrations.fetch_add(1, std::memory_order_relaxed);
     Tables.push_back(std::move(Next));
   }
@@ -717,9 +693,8 @@ private:
   /// and no thread ever holds two old shard locks, so the order is
   /// acyclic.
   void replayPut(Table &T, std::string_view Key, Value V) {
-    SEPE_COUNT("sharded_index_map.dual_write");
     Table &Next = *T.Successor;
-    SEPE_TRACE_INSTANT(DualWrite, Next.Epoch, 0);
+    SEPE_EVENT("sharded.dual_write", Next.Epoch, 0);
     const uint64_t Image = Next.Hash(Key);
     Shard &S = Next.shardFor(Image);
     std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
@@ -729,9 +704,8 @@ private:
   }
 
   void replayErase(Table &T, std::string_view Key) {
-    SEPE_COUNT("sharded_index_map.dual_write");
     Table &Next = *T.Successor;
-    SEPE_TRACE_INSTANT(DualWrite, Next.Epoch, 1);
+    SEPE_EVENT("sharded.dual_write", Next.Epoch, 1);
     const uint64_t Image = Next.Hash(Key);
     Shard &S = Next.shardFor(Image);
     std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),

@@ -11,7 +11,6 @@
 #include "hashes/murmur.h"
 #include "support/bit_ops.h"
 #include "support/cpu_features.h"
-#include "support/trace.h"
 #include "support/unreachable.h"
 
 #include <algorithm>
@@ -1212,7 +1211,7 @@ SynthesizedHash::SynthesizedHash(std::shared_ptr<const HashPlan> Plan,
       Eval = Jit->eval();
       Batch = Jit->batch();
       Resolved = BatchPath::Jit;
-      SEPE_TRACE_INSTANT(JitRegister, 0, Jit->codeBytes());
+      SEPE_EVENT("jit.register", 0, Jit->codeBytes());
     }
   }
 #if defined(SEPE_TELEMETRY)

@@ -34,7 +34,6 @@
 
 #include "support/cpu_features.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <cassert>
 #include <cstring>
@@ -421,7 +420,7 @@ bool sepe::jitSupportsPlan(const HashPlan &Plan) {
 JitProgram::~JitProgram() {
 #if defined(SEPE_EXEC_JIT)
   if (Mapping != nullptr) {
-    SEPE_TRACE_INSTANT(JitRetire, 0, CodeLen);
+    SEPE_EVENT("jit.retire", 0, CodeLen);
     munmap(Mapping, MapLen);
   }
 #endif
@@ -432,8 +431,7 @@ sepe::compileJitProgram(const HashPlan &Plan) {
   if (!jitAvailable() || !jitSupportsPlan(Plan))
     return nullptr;
 #if defined(SEPE_EXEC_JIT)
-  SEPE_SPAN("jit.compile");
-  SEPE_TRACE_SPAN(TraceSpan, JitCompile, 0);
+  SEPE_SPAN("jit.compile", Compile, 0);
 
   Assembler A;
   // Single-key entry at offset 0: rdi = plan (ignored), rsi = data,
@@ -467,9 +465,8 @@ sepe::compileJitProgram(const HashPlan &Plan) {
   Prog->BatchEntry = reinterpret_cast<JitProgram::BatchFn>(
       static_cast<uint8_t *>(Map) + BatchOff);
 
-  SEPE_COUNT("jit.attach.programs");
   SEPE_RECORD("jit.attach.code_bytes", A.size());
-  TraceSpan.setArg(A.size());
+  Compile.setArg(A.size());
   return Prog;
 #else
   return nullptr;

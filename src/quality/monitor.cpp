@@ -9,7 +9,6 @@
 #include "container/flat_index_map.h"
 #include "stats/chi_square.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <algorithm>
 #include <array>
@@ -66,8 +65,8 @@ LiveQualitySample QualityMonitor::pump(size_t MinKeys) {
     SEPE_RECORD("quality.live.skew_x1000",
                 static_cast<uint64_t>(S.OccupancySkew * 1000.0));
   }
-  SEPE_TRACE_INSTANT(QualitySample, S.Generation,
-                     static_cast<uint64_t>(S.OccupancySkew * 1000.0));
+  SEPE_EVENT("quality.live.sample", S.Generation,
+             static_cast<uint64_t>(S.OccupancySkew * 1000.0));
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Latest = S;

@@ -14,10 +14,10 @@
 /// Fibonacci-scrambled buckets (the same mix FlatIndexMap probes
 /// with), and the chi-square of that occupancy. Results are stamped
 /// with the plan generation and published to the process-global live
-/// stats slot (Prometheus `sepe_quality_*`, the `/quality` endpoint),
-/// telemetry histograms, and the trace flight recorder — so a plan
-/// whose distribution degrades under drift is visible before the
-/// drift detector trips.
+/// stats slot (Prometheus `sepe_quality_*`, the `/quality` endpoint)
+/// and the telemetry plane (histograms plus a quality.live.sample
+/// event) — so a plan whose distribution degrades under drift is
+/// visible before the drift detector trips.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,7 +11,6 @@
 #include "hashes/city.h"
 #include "hashes/low_level_hash.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <utility>
 
@@ -24,6 +23,15 @@ int64_t nowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Outcome codes carried in the adaptive.resynth.attempt span's arg.
+enum class ResynthOutcome : uint64_t {
+  Swapped = 0,
+  SkippedCooldown,
+  SkippedFewSamples,
+  SkippedUnchanged,
+  SynthesisFailed,
+};
 
 } // namespace
 
@@ -74,9 +82,9 @@ void AdaptiveHash::publish(std::unique_ptr<const Generation> G) {
   const Generation *Raw = G.get();
   Retired.push_back(std::move(G));
   Active.store(Raw, std::memory_order_release);
-  SEPE_TRACE_INSTANT(SwapPublish, Raw->Epoch, 0);
+  SEPE_EVENT("adaptive.swap.publish", Raw->Epoch, 0);
   if (Prev != nullptr)
-    SEPE_TRACE_INSTANT(PlanRetired, Prev->Epoch, 0);
+    SEPE_EVENT("adaptive.plan.retired", Prev->Epoch, 0);
 }
 
 uint64_t AdaptiveHash::fallbackHash(std::string_view Key) const {
@@ -86,9 +94,8 @@ uint64_t AdaptiveHash::fallbackHash(std::string_view Key) const {
 }
 
 void AdaptiveHash::onTripped() const {
-  SEPE_COUNT("adaptive.window.tripped");
-  SEPE_TRACE_INSTANT(DriftTripped, active()->Epoch,
-                     static_cast<uint64_t>(Detector.lastRatio() * 1e6));
+  SEPE_EVENT("adaptive.drift.tripped", active()->Epoch,
+             static_cast<uint64_t>(Detector.lastRatio() * 1e6));
   Pending.store(true, std::memory_order_release);
   if (Worker)
     Worker->trigger();
@@ -243,8 +250,7 @@ bool AdaptiveHash::pumpResynthesis() {
 }
 
 bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
-  SEPE_SPAN("adaptive.resynthesis");
-  SEPE_TRACE_SPAN(TraceSpan, ResynthAttempt, epoch());
+  SEPE_SPAN("adaptive.resynth.attempt", Attempt, epoch());
   uint64_t NewEpoch = 0;
   std::function<void(uint64_t)> Listener;
   {
@@ -258,15 +264,15 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
               .count();
       if (Last != 0 && nowNs() - Last < CooldownNs) {
         SEPE_COUNT("adaptive.resynthesis.skipped_cooldown");
-        TraceSpan.setArg(
-            static_cast<uint64_t>(trace::ResynthOutcome::SkippedCooldown));
+        Attempt.setArg(
+            static_cast<uint64_t>(ResynthOutcome::SkippedCooldown));
         return false;
       }
     }
     if (Sampler.size() < Options.MinSamples) {
       SEPE_COUNT("adaptive.resynthesis.skipped_few_samples");
-      TraceSpan.setArg(
-          static_cast<uint64_t>(trace::ResynthOutcome::SkippedFewSamples));
+      Attempt.setArg(
+          static_cast<uint64_t>(ResynthOutcome::SkippedFewSamples));
       return false;
     }
     const Generation *Cur = Active.load(std::memory_order_relaxed);
@@ -280,15 +286,15 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
                                   : join(Cur->Pattern, Sampled);
     if (Joined == Cur->Pattern) {
       SEPE_COUNT("adaptive.resynthesis.skipped_unchanged");
-      TraceSpan.setArg(
-          static_cast<uint64_t>(trace::ResynthOutcome::SkippedUnchanged));
+      Attempt.setArg(
+          static_cast<uint64_t>(ResynthOutcome::SkippedUnchanged));
       return false;
     }
     Expected<HashPlan> Plan = synthesize(Joined, Options.Family);
     if (!Plan) {
       SEPE_COUNT("adaptive.resynthesis.synthesis_failed");
-      TraceSpan.setArg(
-          static_cast<uint64_t>(trace::ResynthOutcome::SynthesisFailed));
+      Attempt.setArg(
+          static_cast<uint64_t>(ResynthOutcome::SynthesisFailed));
       FailedSyntheses.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -301,10 +307,11 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
     publish(std::move(G));
     Swaps.fetch_add(1, std::memory_order_relaxed);
     LastSwapNs.store(nowNs(), std::memory_order_relaxed);
-    Detector.reset(NewEpoch);
+    Detector.reset();
+    SEPE_EVENT("adaptive.drift.reset", NewEpoch, 0);
     SEPE_COUNT("adaptive.swap");
-    TraceSpan.setGen(NewEpoch);
-    TraceSpan.setArg(static_cast<uint64_t>(trace::ResynthOutcome::Swapped));
+    Attempt.setGen(NewEpoch);
+    Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::Swapped));
     Listener = SwapListener;
   }
   // Outside SwapMutex so a listener may call back into the hash (e.g.

@@ -22,8 +22,6 @@
 #ifndef SEPE_RUNTIME_DRIFT_DETECTOR_H
 #define SEPE_RUNTIME_DRIFT_DETECTOR_H
 
-#include "support/trace.h"
-
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -71,14 +69,7 @@ public:
     const uint64_t Ppm = WindowMisses * 1000000 / WindowObserved;
     LastRatioPpm.store(Ppm, std::memory_order_relaxed);
     Windows.fetch_add(1, std::memory_order_relaxed);
-    if (Ppm > ThresholdPpm) {
-      // Generation 0 here: the detector doesn't know which plan it is
-      // guarding. AdaptiveHash::onTripped re-emits with the epoch; this
-      // event pins the exact closing observation in the timeline.
-      SEPE_TRACE_INSTANT(DriftTripped, 0, Ppm);
-      return Window::Tripped;
-    }
-    return Window::Closed;
+    return Ppm > ThresholdPpm ? Window::Tripped : Window::Closed;
   }
 
   /// Mismatch ratio of the last closed window (0 before any window
@@ -107,13 +98,10 @@ public:
 
   /// Discards the partial live window and the last ratio — called after
   /// a hot swap so the new generation starts from a clean slate instead
-  /// of inheriting the drifted tail that triggered it. \p TraceGen is
-  /// the generation the slate is being cleaned for (flight-recorder
-  /// correlation only).
-  void reset([[maybe_unused]] uint64_t TraceGen = 0) {
+  /// of inheriting the drifted tail that triggered it.
+  void reset() {
     State.store(0, std::memory_order_relaxed);
     LastRatioPpm.store(0, std::memory_order_relaxed);
-    SEPE_TRACE_INSTANT(DriftReset, TraceGen, 0);
   }
 
 private:

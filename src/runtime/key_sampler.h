@@ -18,7 +18,7 @@
 #ifndef SEPE_RUNTIME_KEY_SAMPLER_H
 #define SEPE_RUNTIME_KEY_SAMPLER_H
 
-#include "support/trace.h"
+#include "support/telemetry.h"
 
 #include <cstdint>
 #include <mutex>
@@ -59,7 +59,7 @@ public:
     Reservoir.clear();
     Reservoir.reserve(Capacity);
     Count = 0;
-    SEPE_TRACE_INSTANT(SamplerDrain, 0, Out.size());
+    SEPE_EVENT("adaptive.sampler.drain", 0, Out.size());
     return Out;
   }
 
@@ -67,7 +67,7 @@ public:
   /// sampled-key section of --metrics dumps.
   std::vector<std::string> snapshot() const {
     std::lock_guard<std::mutex> Lock(Mutex);
-    SEPE_TRACE_INSTANT(SamplerSnapshot, 0, Reservoir.size());
+    SEPE_EVENT("adaptive.sampler.snapshot", 0, Reservoir.size());
     return Reservoir;
   }
 

@@ -6,7 +6,7 @@
 
 #include "runtime/resynthesizer.h"
 
-#include "support/trace.h"
+#include "support/telemetry.h"
 
 #include <utility>
 
@@ -52,7 +52,7 @@ void Resynthesizer::run() {
     // Pending and the loop runs the callback again.
     Lock.unlock();
     {
-      SEPE_TRACE_SPAN(JobSpan, ResynthJob, 0);
+      SEPE_SPAN("adaptive.resynth.job");
       Fn();
     }
     Lock.lock();

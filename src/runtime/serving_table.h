@@ -59,7 +59,6 @@
 #include "mphf/mphf.h"
 #include "runtime/adaptive_hash.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <algorithm>
 #include <array>
@@ -175,8 +174,7 @@ public:
     }
     StaticPtr.store(Lane.get(), std::memory_order_release);
     StaticStorage.push_back(std::move(Lane));
-    SEPE_COUNT("serving_table.static.sealed");
-    SEPE_TRACE_INSTANT(StaticSeal, Count, 0);
+    SEPE_EVENT("serving.static.seal", Count, 0);
     return Count;
   }
 
@@ -474,8 +472,7 @@ public:
             Snap.Fast, Snap.Pattern, Snap.Epoch, ShardHint);
         FastPtr.store(FastStorage.get(), std::memory_order_release);
         F = FastStorage.get();
-        SEPE_COUNT("serving_table.fast_lane.created");
-        SEPE_TRACE_INSTANT(LaneCreate, Snap.Epoch, 0);
+        SEPE_EVENT("serving.lane.create", Snap.Epoch, 0);
         DidWork = true;
       } else if (F->epoch() != Snap.Epoch) {
         F->migrate(Snap.Fast, Snap.Pattern, Snap.Epoch);
@@ -517,14 +514,6 @@ public:
   std::string fastLaneContentionJson() const {
     const ShardedIndexMap<Value> *F = fast();
     return F ? F->contentionJson() : std::string("null");
-  }
-
-  /// Mirrors the fast lane's contention counters into telemetry
-  /// histograms (no-op without -DSEPE_TELEMETRY=ON or before the fast
-  /// lane exists).
-  void recordContentionTelemetry() const {
-    if (const ShardedIndexMap<Value> *F = fast())
-      F->recordContentionTelemetry();
   }
 
 private:
@@ -641,7 +630,7 @@ private:
   /// both under the spill shard's write lock (lock order spill -> fast,
   /// never reversed anywhere). Returns the number of keys moved.
   size_t sweepSpill(ShardedIndexMap<Value> &F) {
-    SEPE_TRACE_SPAN(TraceSpan, SpillSweep, F.epoch());
+    SEPE_SPAN("serving.spill.sweep", Sweep, F.epoch());
     size_t Moved = 0;
     for (SpillShard &S : Spill) {
       std::unique_lock<std::shared_mutex> Lock(S.Mutex);
@@ -660,7 +649,7 @@ private:
       Swept.fetch_add(Moved, std::memory_order_relaxed);
       SEPE_COUNT_N("serving_table.sweep.moved", Moved);
     }
-    TraceSpan.setArg(Moved);
+    Sweep.setArg(Moved);
     return Moved;
   }
 

@@ -18,7 +18,6 @@
 
 #include "quality/live_stats.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <chrono>
 #include <cstdio>
@@ -35,11 +34,12 @@ using namespace sepe;
 std::string metrics::renderPrometheus(const ExtraFn &Extra) {
   std::string Out = telemetry::toPrometheus();
   Out += "# TYPE sepe_trace_emitted counter\n";
-  Out += "sepe_trace_emitted " + std::to_string(trace::emitted()) + "\n";
+  Out += "sepe_trace_emitted " + std::to_string(telemetry::emitted()) + "\n";
   Out += "# TYPE sepe_trace_dropped counter\n";
-  Out += "sepe_trace_dropped " + std::to_string(trace::dropped()) + "\n";
+  Out += "sepe_trace_dropped " + std::to_string(telemetry::dropped()) + "\n";
   Out += "# TYPE sepe_trace_occupancy gauge\n";
-  Out += "sepe_trace_occupancy " + std::to_string(trace::occupancy()) + "\n";
+  Out += "sepe_trace_occupancy " + std::to_string(telemetry::occupancy()) +
+         "\n";
   Out += quality::liveStatsPrometheus();
   if (Extra)
     Out += Extra();

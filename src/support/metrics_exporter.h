@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pulls the passive observability layers (telemetry registry, trace
-/// flight recorder) out of the process while it runs, in Prometheus
+/// Pulls the instrumentation plane (telemetry registry and flight
+/// recorder health) out of the process while it runs, in Prometheus
 /// text-exposition format, through two transports:
 ///
 ///   - MetricsServer: a minimal single-threaded HTTP listener on a

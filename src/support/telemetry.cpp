@@ -1,17 +1,35 @@
-//===- support/telemetry.cpp - Metric registry + JSON export -------------===//
+//===- support/telemetry.cpp - Registry, flight recorder, exporters ------===//
 //
 // Part of the SEPE reproduction. Released under the GPL-3.0 license.
+//
+//===----------------------------------------------------------------------===//
+//
+// The flight recorder: each thread lazily claims one Ring — a
+// power-of-two array of seqlock slots — and is its only writer, so the
+// write path is wait-free: invalidate the slot's sequence word, store
+// the payload with relaxed atomics, then release-publish the sequence.
+// drain() can run from any thread (or several) concurrently with the
+// writers; a slot whose sequence word does not match its expected
+// position before AND after the payload read was overwritten mid-read
+// and is skipped, never mis-decoded. The ring registry keeps every
+// Ring alive for the process lifetime, so events written by a thread
+// that has since exited still appear in the next drain.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/telemetry.h"
 
-#if defined(SEPE_TELEMETRY)
 #include "support/json.h"
 
 #include <cstdio>
+#include <string>
+
+#if defined(SEPE_TELEMETRY)
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #endif
 
@@ -217,6 +235,198 @@ std::string telemetry::toPrometheus() {
   return Out;
 }
 
+// --- Flight recorder ---------------------------------------------------------
+
+namespace {
+
+constexpr size_t DefaultRingCapacity = 8192;
+constexpr size_t MinRingCapacity = 8;
+
+/// One recorded event, seqlock-guarded. Seq holds AbsolutePos + 1 once
+/// the payload at that position is fully written, 0 while a write is
+/// in flight. All words are relaxed atomics so a racing drain is
+/// data-race-free; the Seq protocol makes it also tear-free.
+struct alignas(64) Slot {
+  std::atomic<uint64_t> Seq{0};
+  std::atomic<uint64_t> TimeNs{0};
+  std::atomic<uint64_t> DurNs{0};
+  std::atomic<uint64_t> Gen{0};
+  std::atomic<uint64_t> Arg{0};
+  std::atomic<const char *> Name{""};
+  std::atomic<bool> IsSpan{false};
+};
+
+/// Single-writer ring. Written is the writer's absolute position (only
+/// the owning thread advances it); ReadCursor is advanced by drains and
+/// by the writer when it must drop the oldest unread slot to make room.
+struct Ring {
+  explicit Ring(uint32_t Tid, size_t Capacity)
+      : Tid(Tid), Capacity(Capacity), Mask(Capacity - 1),
+        Slots(new Slot[Capacity]) {}
+
+  const uint32_t Tid;
+  const size_t Capacity;
+  const size_t Mask;
+  std::unique_ptr<Slot[]> Slots;
+  std::atomic<uint64_t> Written{0};
+  std::atomic<uint64_t> ReadCursor{0};
+  std::atomic<uint64_t> Dropped{0};
+};
+
+struct RingRegistry {
+  std::mutex Mutex;
+  std::vector<std::unique_ptr<Ring>> Rings;
+  std::atomic<size_t> NextCapacity{DefaultRingCapacity};
+};
+
+RingRegistry &rings() {
+  static RingRegistry R;
+  return R;
+}
+
+Ring &myRing() {
+  thread_local Ring *Mine = [] {
+    RingRegistry &R = rings();
+    std::lock_guard<std::mutex> Lock(R.Mutex);
+    size_t Cap = std::max(
+        MinRingCapacity,
+        std::bit_ceil(R.NextCapacity.load(std::memory_order_relaxed)));
+    R.Rings.push_back(
+        std::make_unique<Ring>(static_cast<uint32_t>(R.Rings.size()), Cap));
+    return R.Rings.back().get();
+  }();
+  return *Mine;
+}
+
+/// Reads the unread range of \p Ring into \p Out and consumes it.
+/// Slots overwritten while being read fail the before/after sequence
+/// check and count as drops.
+void drainRing(Ring &Ring, std::vector<telemetry::Event> &Out) {
+  const uint64_t End = Ring.Written.load(std::memory_order_acquire);
+  uint64_t Begin = Ring.ReadCursor.load(std::memory_order_acquire);
+  // Claim [Begin, End) up front so concurrent drains partition the
+  // range instead of double-reporting it.
+  while (Begin < End) {
+    if (Ring.ReadCursor.compare_exchange_weak(Begin, End,
+                                              std::memory_order_acq_rel))
+      break;
+  }
+  for (uint64_t Pos = Begin; Pos < End; ++Pos) {
+    Slot &S = Ring.Slots[Pos & Ring.Mask];
+    if (S.Seq.load(std::memory_order_acquire) != Pos + 1) {
+      Ring.Dropped.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    telemetry::Event E;
+    E.TimeNs = S.TimeNs.load(std::memory_order_relaxed);
+    E.DurNs = S.DurNs.load(std::memory_order_relaxed);
+    E.Gen = S.Gen.load(std::memory_order_relaxed);
+    E.Arg = S.Arg.load(std::memory_order_relaxed);
+    E.Name = S.Name.load(std::memory_order_relaxed);
+    E.IsSpan = S.IsSpan.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (S.Seq.load(std::memory_order_relaxed) != Pos + 1) {
+      Ring.Dropped.fetch_add(1, std::memory_order_relaxed);
+      continue; // overwritten mid-read
+    }
+    E.Tid = Ring.Tid;
+    Out.push_back(E);
+  }
+}
+
+} // namespace
+
+uint64_t telemetry::detail::nowNs() {
+  // One process-local epoch so timestamps are small, positive, and
+  // directly comparable across threads.
+  static const std::chrono::steady_clock::time_point Epoch =
+      std::chrono::steady_clock::now();
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Epoch)
+          .count());
+}
+
+void telemetry::detail::writeRing(const char *Name, uint64_t TimeNs,
+                                  uint64_t DurNs, uint64_t Gen, uint64_t Arg,
+                                  bool IsSpan) {
+  Ring &Ring = myRing();
+  const uint64_t Pos = Ring.Written.load(std::memory_order_relaxed);
+
+  // Drop-oldest: if the ring is full, push the read cursor past the
+  // slot about to be overwritten. CAS because a concurrent drain may
+  // advance it first — whoever wins, the slot is claimed exactly once.
+  uint64_t Read = Ring.ReadCursor.load(std::memory_order_acquire);
+  while (Pos - Read >= Ring.Capacity) {
+    if (Ring.ReadCursor.compare_exchange_weak(Read, Read + 1,
+                                              std::memory_order_acq_rel)) {
+      Ring.Dropped.fetch_add(1, std::memory_order_relaxed);
+      Read += 1;
+    }
+  }
+
+  Slot &S = Ring.Slots[Pos & Ring.Mask];
+  S.Seq.store(0, std::memory_order_release);
+  S.TimeNs.store(TimeNs, std::memory_order_relaxed);
+  S.DurNs.store(DurNs, std::memory_order_relaxed);
+  S.Gen.store(Gen, std::memory_order_relaxed);
+  S.Arg.store(Arg, std::memory_order_relaxed);
+  S.Name.store(Name, std::memory_order_relaxed);
+  S.IsSpan.store(IsSpan, std::memory_order_relaxed);
+  S.Seq.store(Pos + 1, std::memory_order_release);
+  Ring.Written.store(Pos + 1, std::memory_order_release);
+}
+
+std::vector<telemetry::Event> telemetry::drain() {
+  std::vector<Event> Out;
+  RingRegistry &R = rings();
+  {
+    std::lock_guard<std::mutex> Lock(R.Mutex);
+    for (std::unique_ptr<Ring> &Ring : R.Rings)
+      drainRing(*Ring, Out);
+  }
+  std::stable_sort(Out.begin(), Out.end(),
+                   [](const Event &A, const Event &B) {
+                     return A.TimeNs < B.TimeNs;
+                   });
+  return Out;
+}
+
+uint64_t telemetry::emitted() {
+  RingRegistry &R = rings();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  uint64_t Total = 0;
+  for (std::unique_ptr<Ring> &Ring : R.Rings)
+    Total += Ring->Written.load(std::memory_order_relaxed);
+  return Total;
+}
+
+uint64_t telemetry::dropped() {
+  RingRegistry &R = rings();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  uint64_t Total = 0;
+  for (std::unique_ptr<Ring> &Ring : R.Rings)
+    Total += Ring->Dropped.load(std::memory_order_relaxed);
+  return Total;
+}
+
+uint64_t telemetry::occupancy() {
+  RingRegistry &R = rings();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  uint64_t Total = 0;
+  for (std::unique_ptr<Ring> &Ring : R.Rings) {
+    const uint64_t W = Ring->Written.load(std::memory_order_acquire);
+    const uint64_t C = Ring->ReadCursor.load(std::memory_order_acquire);
+    Total += std::min<uint64_t>(W - C, Ring->Capacity);
+  }
+  return Total;
+}
+
+void telemetry::setRingCapacity(size_t Events) {
+  rings().NextCapacity.store(std::max(MinRingCapacity, Events),
+                             std::memory_order_relaxed);
+}
+
 #else // !SEPE_TELEMETRY
 
 bool telemetry::compiledIn() { return false; }
@@ -232,4 +442,74 @@ std::string telemetry::toPrometheus() {
   return "# sepe telemetry compiled out (-DSEPE_TELEMETRY=OFF)\n";
 }
 
+std::vector<telemetry::Event> telemetry::drain() { return {}; }
+
+uint64_t telemetry::emitted() { return 0; }
+uint64_t telemetry::dropped() { return 0; }
+uint64_t telemetry::occupancy() { return 0; }
+
+void telemetry::setRingCapacity(size_t) {}
+
 #endif // SEPE_TELEMETRY
+
+// --- Chrome-trace export ----------------------------------------------------
+//
+// Built in both flavors: a compiled-out binary handed --trace= still
+// writes the valid empty document, so downstream tooling never has to
+// special-case the build.
+
+namespace {
+
+/// Microseconds with sub-microsecond precision, as Chrome expects.
+std::string formatMicros(uint64_t Ns) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%llu.%03llu",
+                static_cast<unsigned long long>(Ns / 1000),
+                static_cast<unsigned long long>(Ns % 1000));
+  return Buf;
+}
+
+} // namespace
+
+bool telemetry::writeChromeTrace(const std::string &Path) {
+  std::vector<Event> Events = drain();
+  const uint64_t Base = Events.empty() ? 0 : Events.front().TimeNs;
+
+  std::string Out;
+  Out.reserve(128 + Events.size() * 128);
+  Out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
+  Out += "\"generator\":\"sepe-trace\"";
+  Out += ",\"compiled_in\":";
+  Out += compiledIn() ? "true" : "false";
+  Out += ",\"emitted\":" + std::to_string(emitted());
+  Out += ",\"dropped\":" + std::to_string(dropped());
+  Out += "},\"traceEvents\":[";
+  bool First = true;
+  for (const Event &E : Events) {
+    if (!First)
+      Out += ',';
+    First = false;
+    Out += "{\"name\":\"";
+    // Names are compile-time literals today, but route them through the
+    // shared escaper so the emitter can never produce invalid JSON.
+    Out += json::escapeString(E.Name);
+    Out += "\",\"cat\":\"sepe\",\"ph\":\"";
+    Out += E.IsSpan ? 'X' : 'i';
+    Out += "\",\"ts\":" + formatMicros(E.TimeNs - Base);
+    if (E.IsSpan)
+      Out += ",\"dur\":" + formatMicros(E.DurNs);
+    else
+      Out += ",\"s\":\"t\"";
+    Out += ",\"pid\":1,\"tid\":" + std::to_string(E.Tid);
+    Out += ",\"args\":{\"gen\":" + std::to_string(E.Gen);
+    Out += ",\"arg\":" + std::to_string(E.Arg);
+    Out += "}}";
+  }
+  Out += "]}";
+
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  if (F == nullptr)
+    return false;
+  const bool Wrote = std::fwrite(Out.data(), 1, Out.size(), F) == Out.size();
+  return (std::fclose(F) == 0) && Wrote;
+}

@@ -1,45 +1,69 @@
-//===- support/telemetry.h - Zero-overhead-when-off metrics ----*- C++-*-===//
+//===- support/telemetry.h - Instrumentation plane --------------*- C++-*-===//
 //
 // Part of the SEPE reproduction. Released under the GPL-3.0 license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability substrate: atomic counters, fixed-bucket log2
-/// histograms, and RAII scoped timers, all reachable by name through a
-/// process-wide registry that serializes to JSON. Instrumentation sites
-/// use the SEPE_COUNT / SEPE_RECORD / SEPE_SPAN macros, which cache the
-/// registry lookup in a function-local static so the steady-state cost
-/// of a hot-path metric is one relaxed atomic op.
+/// The instrumentation plane. Two sinks share one set of names:
 ///
-/// Two gates, by design:
+///   - the registry: atomic counters, fixed-bucket log2 histograms and
+///     span (duration) histograms, reachable by name and serialized to
+///     JSON and Prometheus text — "how many / how long on aggregate";
+///   - the flight recorder: a per-thread ring buffer of control-plane
+///     events (timestamp, thread, name, plan generation, argument and,
+///     for spans, duration), exported as Chrome-trace JSON — "what
+///     happened, in what order, on which thread".
+///
+/// Instrumentation sites use macros that cache the registry lookup in a
+/// function-local static. SEPE_EVENT(NAME, GEN, ARG) adds one to
+/// counter NAME and writes one instant named NAME to the calling
+/// thread's ring; SEPE_SPAN(NAME) times the enclosing scope into span
+/// histogram NAME and writes one span named NAME to the ring
+/// (SEPE_SPAN(NAME, VAR, GEN) names the span so the site can setArg /
+/// setGen before it closes). SEPE_COUNT, SEPE_COUNT_N and SEPE_RECORD
+/// feed the registry only: they carry the per-key hot-path counts that
+/// would flood a ring.
+///
+/// One plane, two gates:
 ///
 ///   - compile time: without -DSEPE_TELEMETRY the macros expand to
-///     nothing and the metric types become empty shims, so every call
-///     site compiles to zero instructions — the default for release
-///     builds and the reason the batch kernels can be instrumented at
-///     all;
-///   - runtime: with telemetry compiled in, recording is further gated
-///     on an atomic enabled flag (off unless setEnabled(true) is called
-///     or SEPE_TELEMETRY_ENABLED is set in the environment), so an
-///     instrumented binary pays one predictable branch per site until a
-///     caller asks for metrics.
+///     nothing (or to an empty shim object) and the metric types become
+///     empty shims, so every call site compiles to zero instructions —
+///     the default for release builds and the reason the batch kernels
+///     and probe loops can be instrumented at all;
+///   - runtime: with the plane compiled in, both sinks record only
+///     while an atomic enabled flag is set (off unless setEnabled(true)
+///     is called or SEPE_TELEMETRY_ENABLED is set in the environment),
+///     so an instrumented binary pays one relaxed load and a
+///     predictable branch per site until a caller asks for data.
 ///
 /// Registered metrics live for the process lifetime; resetAll() zeroes
 /// values but never unregisters, so cached references stay valid.
+///
+/// Ring memory is bounded: each thread owns a fixed-capacity ring
+/// (setRingCapacity, default 8192 events) and a writer that catches up
+/// to the read cursor overwrites the OLDEST unread event and counts the
+/// drop — the recorder never blocks and never allocates on the write
+/// path after the ring exists. Rings are seqlock-guarded slots of
+/// relaxed atomics, so concurrent drain() is race-free: it merges every
+/// thread's unread events into one timestamp-ordered vector and
+/// consumes them. A slot overwritten mid-read is detected by its
+/// sequence word and counted as dropped, never returned torn.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEPE_SUPPORT_TELEMETRY_H
 #define SEPE_SUPPORT_TELEMETRY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #if defined(SEPE_TELEMETRY)
 #include <atomic>
 #include <bit>
-#include <chrono>
 #endif
 
 namespace sepe::telemetry {
@@ -66,12 +90,56 @@ void resetAll();
 /// either way.
 std::string toPrometheus();
 
+/// One drained flight-recorder entry. TimeNs is nanoseconds since an
+/// arbitrary process-local monotonic epoch; for spans it is the START
+/// of the scope and DurNs its length (instants carry DurNs == 0). Name
+/// is the site's string literal — the same name its counter or span
+/// histogram is registered under.
+struct Event {
+  uint64_t TimeNs = 0;
+  uint64_t DurNs = 0;
+  uint64_t Gen = 0;
+  uint64_t Arg = 0;
+  const char *Name = "";
+  uint32_t Tid = 0;
+  bool IsSpan = false;
+};
+
+/// Merges every thread's unread events into timestamp order and
+/// consumes them (a second drain returns only newer events). Safe to
+/// call concurrently with writers and with other drains.
+std::vector<Event> drain();
+
+/// Total events written to the rings since process start.
+uint64_t emitted();
+/// Events lost to ring wrap (drop-oldest) or torn-slot skips.
+uint64_t dropped();
+/// Events currently buffered across all rings, awaiting drain.
+uint64_t occupancy();
+
+/// Ring size (events per thread) for rings created AFTER the call;
+/// existing rings keep their capacity. Rounded up to a power of two,
+/// minimum 8. Intended for tests; the default is 8192.
+void setRingCapacity(size_t Events);
+
+/// Drains the recorder and writes Chrome tracing / Perfetto JSON
+/// ({"traceEvents":[...]}, "ph":"X" complete events for spans,
+/// "ph":"i" instants, ts/dur in microseconds relative to the first
+/// event). Always writes a valid document — a compiled-out or empty
+/// recorder yields an empty traceEvents array. Returns false only on
+/// I/O failure.
+bool writeChromeTrace(const std::string &Path);
+
 #if defined(SEPE_TELEMETRY)
 
 namespace detail {
 /// The runtime gate. Out-of-line initialization (telemetry.cpp) seeds
 /// it from the SEPE_TELEMETRY_ENABLED environment variable.
 extern std::atomic<bool> EnabledFlag;
+uint64_t nowNs();
+/// Appends one event to the calling thread's ring.
+void writeRing(const char *Name, uint64_t TimeNs, uint64_t DurNs,
+               uint64_t Gen, uint64_t Arg, bool IsSpan);
 } // namespace detail
 
 inline bool enabled() {
@@ -180,29 +248,52 @@ private:
   std::atomic<uint64_t> Max{0};
 };
 
-/// Times a scope and records the elapsed nanoseconds into a span
-/// histogram on destruction. When telemetry is runtime-disabled the
-/// clock is never read.
-class ScopedTimer {
+namespace detail {
+/// SEPE_EVENT's body: counts one occurrence of event \p Name in
+/// \p Count and writes it to the calling thread's ring as an instant.
+/// The disabled path is one relaxed load and a branch; the clock is
+/// never read.
+inline void event(Counter &Count, const char *Name, uint64_t Gen,
+                  uint64_t Arg) {
+  if (!enabled())
+    return;
+  Count.add();
+  writeRing(Name, nowNs(), 0, Gen, Arg, /*IsSpan=*/false);
+}
+} // namespace detail
+
+/// Times a scope: on destruction records the elapsed nanoseconds into
+/// \p Durations and writes one span named \p Name to the ring.
+/// setArg/setGen attach results discovered mid-scope (entries copied,
+/// code bytes, the epoch a resynthesis ended up publishing). Inactive —
+/// no clock reads, no recording — when the plane is disabled at
+/// construction.
+class Span {
 public:
-  explicit ScopedTimer(Histogram &Span)
-      : Span(enabled() ? &Span : nullptr) {
-    if (this->Span)
-      Start = std::chrono::steady_clock::now();
+  Span(Histogram &Durations, const char *Name, uint64_t Gen = 0)
+      : Durations(enabled() ? &Durations : nullptr), Name(Name), Gen(Gen) {
+    if (this->Durations)
+      StartNs = detail::nowNs();
   }
-  ~ScopedTimer() {
-    if (Span)
-      Span->record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count()));
+  ~Span() {
+    if (!Durations)
+      return;
+    const uint64_t DurNs = detail::nowNs() - StartNs;
+    Durations->record(DurNs);
+    detail::writeRing(Name, StartNs, DurNs, Gen, Arg, /*IsSpan=*/true);
   }
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
+  Span(const Span &) = delete;
+  Span &operator=(const Span &) = delete;
+
+  void setArg(uint64_t A) { Arg = A; }
+  void setGen(uint64_t G) { Gen = G; }
 
 private:
-  Histogram *Span;
-  std::chrono::steady_clock::time_point Start;
+  Histogram *Durations;
+  const char *Name;
+  uint64_t Gen;
+  uint64_t Arg = 0;
+  uint64_t StartNs = 0;
 };
 
 /// Registry lookups: return the metric registered under \p Name,
@@ -243,11 +334,14 @@ public:
   void reset() {}
 };
 
-class ScopedTimer {
+class Span {
 public:
-  explicit ScopedTimer(Histogram &) {}
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
+  Span() = default;
+  Span(Histogram &, const char *, uint64_t = 0) {}
+  Span(const Span &) = delete;
+  Span &operator=(const Span &) = delete;
+  void setArg(uint64_t) {}
+  void setGen(uint64_t) {}
 };
 
 inline Counter &counter(const char *) {
@@ -269,16 +363,34 @@ inline Histogram &span(const char *) {
 
 // --- Instrumentation-site macros -------------------------------------------
 //
-// NAME must be a string literal (it is the registry key and is cached in
-// a function-local static on first execution). In compiled-out builds
-// every macro expands to nothing; SEPE_TELEMETRY_ONLY(...) guards the
+// NAME must be a string literal: it is the registry key (cached in a
+// function-local static on first execution) and the ring entry's name.
+// In compiled-out builds the macros drop their arguments unexpanded —
+// GEN/ARG/V are never evaluated, so sites must not rely on their side
+// effects — and a named SEPE_SPAN becomes an empty shim whose
+// setArg/setGen do nothing. SEPE_TELEMETRY_ONLY(...) guards the
 // occasional helper statement (a probe-length local, say) that only
 // exists to feed a metric.
 
-#if defined(SEPE_TELEMETRY)
-
 #define SEPE_TELEMETRY_CAT2(A, B) A##B
 #define SEPE_TELEMETRY_CAT(A, B) SEPE_TELEMETRY_CAT2(A, B)
+
+// SEPE_SPAN(NAME) declares an anonymous span at generation 0;
+// SEPE_SPAN(NAME, VAR, GEN) declares it as VAR at generation GEN.
+#define SEPE_SPAN(NAME, ...)                                                \
+  SEPE_SPAN_DECL(NAME, __VA_OPT__(__VA_ARGS__, )                            \
+                     SEPE_TELEMETRY_CAT(SepeTelemetrySiteSpan, __LINE__),   \
+                 0, )
+
+#if defined(SEPE_TELEMETRY)
+
+#define SEPE_EVENT(NAME, GEN, ARG)                                          \
+  do {                                                                      \
+    static ::sepe::telemetry::Counter &SepeTelemetrySiteEvent =             \
+        ::sepe::telemetry::counter(NAME);                                   \
+    ::sepe::telemetry::detail::event(SepeTelemetrySiteEvent, NAME, (GEN),   \
+                                     (ARG));                               \
+  } while (0)
 
 #define SEPE_COUNT_N(NAME, N)                                               \
   do {                                                                      \
@@ -295,17 +407,19 @@ inline Histogram &span(const char *) {
     SepeTelemetrySiteHistogram.record(V);                                   \
   } while (0)
 
-#define SEPE_SPAN(NAME)                                                     \
-  static ::sepe::telemetry::Histogram &SEPE_TELEMETRY_CAT(                  \
-      SepeTelemetrySiteSpan, __LINE__) = ::sepe::telemetry::span(NAME);     \
-  ::sepe::telemetry::ScopedTimer SEPE_TELEMETRY_CAT(SepeTelemetrySiteTimer, \
-                                                    __LINE__)(              \
-      SEPE_TELEMETRY_CAT(SepeTelemetrySiteSpan, __LINE__))
+#define SEPE_SPAN_DECL(NAME, VAR, GEN, ...)                                 \
+  static ::sepe::telemetry::Histogram &SEPE_TELEMETRY_CAT(VAR, Durations) = \
+      ::sepe::telemetry::span(NAME);                                        \
+  ::sepe::telemetry::Span VAR(SEPE_TELEMETRY_CAT(VAR, Durations), NAME,     \
+                              (GEN))
 
 #define SEPE_TELEMETRY_ONLY(...) __VA_ARGS__
 
 #else // !SEPE_TELEMETRY
 
+#define SEPE_EVENT(NAME, GEN, ARG)                                          \
+  do {                                                                      \
+  } while (0)
 #define SEPE_COUNT_N(NAME, N)                                               \
   do {                                                                      \
   } while (0)
@@ -315,9 +429,8 @@ inline Histogram &span(const char *) {
 #define SEPE_RECORD(NAME, V)                                                \
   do {                                                                      \
   } while (0)
-#define SEPE_SPAN(NAME)                                                     \
-  do {                                                                      \
-  } while (0)
+#define SEPE_SPAN_DECL(NAME, VAR, GEN, ...)                                 \
+  [[maybe_unused]] ::sepe::telemetry::Span VAR
 #define SEPE_TELEMETRY_ONLY(...)
 
 #endif // SEPE_TELEMETRY

@@ -52,7 +52,6 @@
 #include "support/json.h"
 #include "support/perf_counters.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <atomic>
 #include <chrono>
@@ -119,9 +118,12 @@ void printUsage() {
       "  --quality-json=FILE  statistical scorecard for the quality/*\n"
       "                    workloads (default BENCH_quality.json; only\n"
       "                    written when a quality workload ran)\n"
-      "  --trace=FILE.json write the flight recorder as Chrome-trace\n"
-      "                    JSON after the suite (needs -DSEPE_TRACE=ON\n"
-      "                    for non-empty data)\n"
+      "  --trace=FILE.json write what the telemetry plane's flight\n"
+      "                    recorder kept from the per-workload\n"
+      "                    instrumented passes as Chrome-trace JSON\n"
+      "                    after the suite (the plane stays off during\n"
+      "                    timed trials; needs -DSEPE_TELEMETRY=ON for\n"
+      "                    non-empty data)\n"
       "  --list            print workload names and exit\n"
       "comparator mode:\n"
       "  --compare=BASE.json,NEW.json   diff two reports; exit 1 on\n"
@@ -1114,9 +1116,11 @@ runSuiteTrials(const std::vector<SuiteWorkload> &Suite,
     if (Counters.live() || telemetry::compiledIn()) {
       // One extra instrumented pass; its wall time is not a trial, so
       // the PMU read and telemetry recording cannot perturb the
-      // reported medians. The registry is reset before the pass so
-      // each workload's telemetry section covers that pass alone
-      // instead of accumulating across the suite.
+      // reported medians. These passes are the only time the plane is
+      // on, so they are also all --trace ever writes. The registry is
+      // reset before the pass so each workload's telemetry section
+      // covers that pass alone instead of accumulating across the
+      // suite.
       const bool TelemetryWasOn = telemetry::enabled();
       telemetry::resetAll();
       telemetry::setEnabled(true);
@@ -1214,11 +1218,11 @@ int runSuite(const SuiteOptions &Options) {
   }
 
   if (!Options.TracePath.empty()) {
-    if (trace::writeChromeTrace(Options.TracePath))
+    if (telemetry::writeChromeTrace(Options.TracePath))
       std::printf("trace written to %s (%llu events, %llu dropped)\n",
                   Options.TracePath.c_str(),
-                  static_cast<unsigned long long>(trace::emitted()),
-                  static_cast<unsigned long long>(trace::dropped()));
+                  static_cast<unsigned long long>(telemetry::emitted()),
+                  static_cast<unsigned long long>(telemetry::dropped()));
     else
       std::fprintf(stderr, "error: cannot write trace file '%s'\n",
                    Options.TracePath.c_str());
@@ -1270,12 +1274,5 @@ int main(int Argc, char **Argv) {
     return 2;
   if (!Options.CompareBase.empty())
     return runCompare(Options);
-  if (!Options.TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --trace requested but this binary was built "
-                   "without -DSEPE_TRACE=ON; the trace will be empty\n");
-    trace::setEnabled(true);
-  }
   return runSuite(Options);
 }

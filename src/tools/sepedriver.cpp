@@ -30,7 +30,6 @@
 #include "support/perf_counters.h"
 #include "support/resource_usage.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <chrono>
 #include <cstdio>
@@ -69,17 +68,19 @@ void printUsage(const char *Argv0) {
       "                        post-swap steady state (recovery)\n"
       "  --drift-key=FMT       drift into a second paper format instead\n"
       "                        of single-byte-mutated --key keys\n"
-      "  --metrics=FILE.json   dump the run's observability data as\n"
-      "                        JSON: the telemetry registry (counters,\n"
+      "  --metrics=FILE.json   turn the telemetry plane on and dump the\n"
+      "                        run's observability data as JSON: the\n"
+      "                        telemetry registry (counters,\n"
       "                        histograms, spans; needs a\n"
       "                        -DSEPE_TELEMETRY=ON build for non-empty\n"
       "                        data), PMU counters for the experiment\n"
       "                        loop when perf_event_open works here,\n"
       "                        and getrusage resource totals\n"
-      "  --trace=FILE.json     write the flight recorder as Chrome-trace\n"
-      "                        JSON (load in chrome://tracing or\n"
-      "                        Perfetto; needs a -DSEPE_TRACE=ON build\n"
-      "                        for non-empty data)\n"
+      "  --trace=FILE.json     turn the telemetry plane on and write its\n"
+      "                        flight recorder as Chrome-trace JSON\n"
+      "                        (load in chrome://tracing or Perfetto;\n"
+      "                        needs a -DSEPE_TELEMETRY=ON build for\n"
+      "                        non-empty data)\n"
       "  --mphf[=N]            build a minimal perfect hash over N\n"
       "                        distinct --key keys (default 100000),\n"
       "                        verify the bijection structurally, and\n"
@@ -95,9 +96,9 @@ void printUsage(const char *Argv0) {
 void writeTraceIfRequested(const std::string &TracePath) {
   if (TracePath.empty())
     return;
-  const uint64_t Emitted = trace::emitted();
-  const uint64_t Dropped = trace::dropped();
-  if (trace::writeChromeTrace(TracePath))
+  const uint64_t Emitted = telemetry::emitted();
+  const uint64_t Dropped = telemetry::dropped();
+  if (telemetry::writeChromeTrace(TracePath))
     std::printf("trace written to %s (%llu events, %llu dropped)\n",
                 TracePath.c_str(), static_cast<unsigned long long>(Emitted),
                 static_cast<unsigned long long>(Dropped));
@@ -620,20 +621,12 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!MetricsPath.empty()) {
-    if (!telemetry::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --metrics requested but this binary was built "
-                   "without -DSEPE_TELEMETRY=ON; the dump will be empty\n");
+  if (!MetricsPath.empty() && !telemetry::compiledIn())
+    std::fprintf(stderr,
+                 "warning: --metrics requested but this binary was built "
+                 "without -DSEPE_TELEMETRY=ON; the dump will be empty\n");
+  if (!MetricsPath.empty() || !TracePath.empty())
     telemetry::setEnabled(true);
-  }
-  if (!TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --trace requested but this binary was built "
-                   "without -DSEPE_TRACE=ON; the trace will be empty\n");
-    trace::setEnabled(true);
-  }
 
   if (Explain)
     return runExplain(Key, Isa, ExplainAs);

@@ -30,11 +30,11 @@
 ///             [--metrics-file=FILE]
 ///
 /// --smoke is the CI entry point: a short fixed-size run (used under
-/// TSan) that exits 1 on any failed lookup. --trace drains the flight
-/// recorder into Chrome-trace JSON at exit; --metrics-port serves live
-/// Prometheus text over HTTP while the run is in flight, and
-/// --metrics-interval periodically snapshots the same exposition to
-/// --metrics-file for socketless environments.
+/// TSan) that exits 1 on any failed lookup. --trace turns the telemetry
+/// plane on and drains its flight recorder into Chrome-trace JSON at
+/// exit; --metrics-port serves live Prometheus text over HTTP while the
+/// run is in flight, and --metrics-interval periodically snapshots the
+/// same exposition to --metrics-file for socketless environments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +44,10 @@
 #include "quality/live_stats.h"
 #include "quality/monitor.h"
 #include "runtime/serving_table.h"
+#include "stats/descriptive.h"
 #include "support/json.h"
 #include "support/metrics_exporter.h"
 #include "support/telemetry.h"
-#include "support/trace.h"
 
 #include <atomic>
 #include <chrono>
@@ -92,9 +92,10 @@ void printUsage() {
       "  --smoke         short fixed-size CI run; exit 1 on any failed\n"
       "                  lookup\n"
       "  --json=FILE     write run statistics as JSON\n"
-      "  --trace=FILE    drain the flight recorder into Chrome-trace\n"
-      "                  JSON at exit (load in chrome://tracing or\n"
-      "                  Perfetto; needs -DSEPE_TRACE=ON for events)\n"
+      "  --trace=FILE    turn the telemetry plane on and drain its\n"
+      "                  flight recorder into Chrome-trace JSON at\n"
+      "                  exit (load in chrome://tracing or Perfetto;\n"
+      "                  needs -DSEPE_TELEMETRY=ON for events)\n"
       "  --metrics-port=N     serve live Prometheus metrics on\n"
       "                       127.0.0.1:N while running; also mounts\n"
       "                       /plan (active hash plan, generation-\n"
@@ -192,21 +193,14 @@ int main(int Argc, char **Argv) {
     return 2;
 
   // --- Observability arms --------------------------------------------------
-  if (!Options.TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr, "warning: --trace without -DSEPE_TRACE=ON — "
-                           "the trace will be empty\n");
-    trace::setEnabled(true);
-  }
   const bool WantMetrics =
       Options.MetricsPort != 0 || Options.MetricsIntervalSec > 0.0;
-  if (WantMetrics) {
-    if (!telemetry::compiledIn())
-      std::fprintf(stderr,
-                   "warning: metrics export without -DSEPE_TELEMETRY=ON — "
-                   "only flight-recorder gauges will be exposed\n");
+  if (WantMetrics && !telemetry::compiledIn())
+    std::fprintf(stderr,
+                 "warning: metrics export without -DSEPE_TELEMETRY=ON — "
+                 "the telemetry series will be empty\n");
+  if (WantMetrics || !Options.TracePath.empty())
     telemetry::setEnabled(true);
-  }
 
   // --- Key pools -----------------------------------------------------------
   const FormatSpec Format = paperKeyFormat(Options.Key);
@@ -489,19 +483,22 @@ int main(int Argc, char **Argv) {
   // Per-shard lock pressure on the fast lane (the active generation's
   // counters; summarized here, embedded shard-by-shard in the JSON).
   const std::string Contention = Table.fastLaneContentionJson();
-  // Enable recording for the end-of-run mirror even when no live
-  // exporter asked for it: the per-shard histograms are what the
-  // percentile line below reads back.
-  telemetry::setEnabled(true);
-  Table.recordContentionTelemetry();
   {
     uint64_t SharedAcq = 0, SharedCon = 0, UniqueAcq = 0, UniqueCon = 0;
+    // One sample per shard: a hot shard shows up as p99 far above p50.
+    std::vector<double> SharedPerShard, UniquePerShard;
     if (Expected<json::Value> Doc = json::parse(Contention)) {
       if (const json::Value *T = Doc->find("totals")) {
         SharedAcq = static_cast<uint64_t>(T->numberOr("shared_acquires", 0));
         SharedCon = static_cast<uint64_t>(T->numberOr("shared_contended", 0));
         UniqueAcq = static_cast<uint64_t>(T->numberOr("unique_acquires", 0));
         UniqueCon = static_cast<uint64_t>(T->numberOr("unique_contended", 0));
+      }
+      if (const json::Value *Shards = Doc->find("shards")) {
+        for (const json::Value &S : Shards->array()) {
+          SharedPerShard.push_back(S.numberOr("shared_acquires", 0));
+          UniquePerShard.push_back(S.numberOr("unique_acquires", 0));
+        }
       }
     }
     std::printf("  lock pressure  reads %llu (%llu contended), "
@@ -510,26 +507,19 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(SharedCon),
                 static_cast<unsigned long long>(UniqueAcq),
                 static_cast<unsigned long long>(UniqueCon));
-    if (telemetry::compiledIn()) {
-      // Cross-shard distribution (one histogram sample per shard): a
-      // hot shard shows up as p99 far above p50.
-      const telemetry::Histogram &Shared =
-          telemetry::histogram("sharded_index_map.shard.shared_acquires");
-      const telemetry::Histogram &Unique =
-          telemetry::histogram("sharded_index_map.shard.unique_acquires");
-      std::printf("  shard spread   reads p50 %.0f / p99 %.0f, "
-                  "writes p50 %.0f / p99 %.0f (per-shard acquires)\n",
-                  Shared.percentile(0.50), Shared.percentile(0.99),
-                  Unique.percentile(0.50), Unique.percentile(0.99));
-    }
+    std::printf("  shard spread   reads p50 %.0f / p99 %.0f, "
+                "writes p50 %.0f / p99 %.0f (per-shard acquires)\n",
+                quantile(SharedPerShard, 0.50), quantile(SharedPerShard, 0.99),
+                quantile(UniquePerShard, 0.50),
+                quantile(UniquePerShard, 0.99));
   }
   Server.stop();
   Snapshots.stop();
 
   if (!Options.TracePath.empty()) {
-    const uint64_t Emitted = trace::emitted();
-    const uint64_t Dropped = trace::dropped();
-    if (trace::writeChromeTrace(Options.TracePath))
+    const uint64_t Emitted = telemetry::emitted();
+    const uint64_t Dropped = telemetry::dropped();
+    if (telemetry::writeChromeTrace(Options.TracePath))
       std::printf("  trace          %s (%llu events, %llu dropped)\n",
                   Options.TracePath.c_str(),
                   static_cast<unsigned long long>(Emitted),

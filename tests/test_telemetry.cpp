@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // Runs in both build flavors: with -DSEPE_TELEMETRY=ON the full
-// counter/histogram/timer semantics are checked, plus two end-to-end
-// properties (FlatIndexMap probe accounting, executor batch dispatch);
-// without it the same binary checks that the no-op shims really are
-// inert and that toJson() still emits the valid minimal document.
+// counter/histogram/span semantics and the flight recorder's ring
+// semantics (drop-oldest wrap, cross-thread drain ordering, span
+// durations, the Chrome-trace export shape) are checked, plus three
+// end-to-end properties (FlatIndexMap probe accounting, executor batch
+// dispatch, one record per sink for every event a serving lifecycle
+// emits); without it the same binary checks that the no-op shims
+// really are inert and that toJson() and writeChromeTrace() still emit
+// valid minimal documents.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,27 +23,41 @@
 #include "core/synthesizer.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
+#include "runtime/serving_table.h"
+#include "support/json.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 using namespace sepe;
 
 namespace {
 
-/// Zeroes the registry and enables recording for one test body;
-/// restores the default-off state on scope exit so no other test sees
-/// telemetry enabled.
+/// Zeroes the registry, empties the rings (discarding events leaked by
+/// other tests) and enables recording for one test body; restores the
+/// default-off state and drains again on scope exit so no other test
+/// sees the plane enabled.
 struct TelemetryScope {
   TelemetryScope() {
     telemetry::resetAll();
+    (void)telemetry::drain();
     telemetry::setEnabled(true);
   }
-  ~TelemetryScope() { telemetry::setEnabled(false); }
+  ~TelemetryScope() {
+    telemetry::setEnabled(false);
+    (void)telemetry::drain();
+  }
 };
+
+std::string tempPath(const char *Name) {
+  return std::string(::testing::TempDir()) + Name;
+}
 
 SynthesizedHash bijectiveHash(const std::string &Regex) {
   Expected<FormatSpec> Spec = parseRegex(Regex);
@@ -54,6 +72,13 @@ TEST(TelemetryCoreTest, DisabledByDefault) {
   // Both flavors: recording must be opt-in (setEnabled or the
   // SEPE_TELEMETRY_ENABLED env var, which the test harness never sets).
   EXPECT_FALSE(telemetry::enabled());
+}
+
+TEST(TraceCoreTest, DisabledByDefault) {
+  // The ring recorder has no switch of its own: it is off exactly when
+  // the aggregates are, so it holds nothing until the plane is enabled.
+  EXPECT_FALSE(telemetry::enabled());
+  EXPECT_EQ(telemetry::occupancy(), 0u);
 }
 
 TEST(TelemetryCoreTest, CompiledOutShimsAreInert) {
@@ -72,13 +97,44 @@ TEST(TelemetryCoreTest, CompiledOutShimsAreInert) {
   EXPECT_EQ(H.sum(), 0u);
   EXPECT_EQ(H.max(), 0u);
 
-  { telemetry::ScopedTimer T(telemetry::span("test.shim.span")); }
+  {
+    telemetry::Span S(telemetry::span("test.shim.span"), "test.shim.span");
+    S.setArg(64);
+  }
   EXPECT_EQ(telemetry::span("test.shim.span").count(), 0u);
 
   const std::string Json = telemetry::toJson();
   EXPECT_NE(Json.find("\"schema_version\":1"), std::string::npos);
   EXPECT_NE(Json.find("\"compiled_in\":false"), std::string::npos);
   EXPECT_NE(Json.find("\"counters\":{}"), std::string::npos);
+}
+
+TEST(TraceCoreTest, CompiledOutShimsAreInert) {
+  if (telemetry::compiledIn())
+    GTEST_SKIP() << "built with SEPE_TELEMETRY; shims not in play";
+  telemetry::setEnabled(true); // Must not stick in the OFF build.
+  EXPECT_FALSE(telemetry::enabled());
+  SEPE_EVENT("test.shim.event", 1, 2);
+  EXPECT_EQ(telemetry::emitted(), 0u);
+  EXPECT_EQ(telemetry::dropped(), 0u);
+  EXPECT_TRUE(telemetry::drain().empty());
+}
+
+TEST(TraceCoreTest, DisabledEmitIsANoOp) {
+  // Whether the plane is compiled out or merely runtime-disabled, an
+  // event or span must not record anything in either sink.
+  ASSERT_FALSE(telemetry::enabled());
+  const uint64_t Before = telemetry::emitted();
+  SEPE_EVENT("test.disabled.event", 7, 0);
+  {
+    SEPE_SPAN("test.disabled.span", S, 3);
+    S.setArg(64);
+  }
+  EXPECT_EQ(telemetry::counter("test.disabled.event").value(), 0u);
+  EXPECT_EQ(telemetry::span("test.disabled.span").count(), 0u);
+  EXPECT_EQ(telemetry::emitted(), Before);
+  EXPECT_EQ(telemetry::occupancy(), 0u);
+  EXPECT_TRUE(telemetry::drain().empty());
 }
 
 TEST(TelemetryCoreTest, CounterGatesOnEnabledFlag) {
@@ -224,22 +280,22 @@ TEST(TelemetryCoreTest, PrometheusExposition) {
       << "span histograms carry the _ns unit suffix";
 }
 
-TEST(TelemetryCoreTest, ScopedTimerRecordsOnlyWhenEnabled) {
+TEST(TelemetryCoreTest, SpanRecordsOnlyWhenEnabled) {
   if (!telemetry::compiledIn())
     GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
   TelemetryScope Scope;
-  telemetry::Histogram &Span = telemetry::span("test.timer");
+  telemetry::Histogram &Durations = telemetry::span("test.timer");
   {
-    telemetry::ScopedTimer T(Span);
+    telemetry::Span T(Durations, "test.timer");
     volatile unsigned Spin = 0;
     for (unsigned I = 0; I != 1000; ++I)
       Spin = Spin + 1;
   }
-  EXPECT_EQ(Span.count(), 1u);
+  EXPECT_EQ(Durations.count(), 1u);
 
   telemetry::setEnabled(false);
-  { telemetry::ScopedTimer T(Span); }
-  EXPECT_EQ(Span.count(), 1u) << "disabled timer must not record";
+  { telemetry::Span T(Durations, "test.timer"); }
+  EXPECT_EQ(Durations.count(), 1u) << "disabled span must not record";
 }
 
 TEST(TelemetryCoreTest, MacrosFeedTheRegistryAndResetAllZeroes) {
@@ -248,10 +304,12 @@ TEST(TelemetryCoreTest, MacrosFeedTheRegistryAndResetAllZeroes) {
   TelemetryScope Scope;
   for (int I = 0; I != 3; ++I) {
     SEPE_COUNT("test.macro.count");
+    SEPE_EVENT("test.macro.event", 0, 0);
     SEPE_RECORD("test.macro.record", 16);
     SEPE_SPAN("test.macro.span");
   }
   EXPECT_EQ(telemetry::counter("test.macro.count").value(), 3u);
+  EXPECT_EQ(telemetry::counter("test.macro.event").value(), 3u);
   EXPECT_EQ(telemetry::histogram("test.macro.record").count(), 3u);
   EXPECT_EQ(telemetry::histogram("test.macro.record").sum(), 48u);
   EXPECT_EQ(telemetry::span("test.macro.span").count(), 3u);
@@ -363,6 +421,260 @@ TEST(TelemetryDispatchTest, SingleCallCounterMoves) {
   (void)Hash("123-45-6789");
   (void)Hash("987-65-4321");
   EXPECT_EQ(telemetry::counter("executor.single.calls").value(), 2u);
+}
+
+// --- Flight recorder ---------------------------------------------------------
+
+TEST(TraceRingTest, EmitDrainRoundTrip) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  TelemetryScope Scope;
+  SEPE_EVENT("adaptive.drift.tripped", 4, 250000);
+  SEPE_EVENT("adaptive.swap.publish", 5, 0);
+  const std::vector<telemetry::Event> Events = telemetry::drain();
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_STREQ(Events[0].Name, "adaptive.drift.tripped");
+  EXPECT_EQ(Events[0].Gen, 4u);
+  EXPECT_EQ(Events[0].Arg, 250000u);
+  EXPECT_FALSE(Events[0].IsSpan);
+  EXPECT_EQ(Events[0].DurNs, 0u);
+  EXPECT_STREQ(Events[1].Name, "adaptive.swap.publish");
+  EXPECT_LE(Events[0].TimeNs, Events[1].TimeNs);
+  // Same thread: one ring, one tid.
+  EXPECT_EQ(Events[0].Tid, Events[1].Tid);
+  // Consumed: a second drain sees only newer events.
+  EXPECT_TRUE(telemetry::drain().empty());
+}
+
+TEST(TraceRingTest, SpanCarriesDuration) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  TelemetryScope Scope;
+  {
+    SEPE_SPAN("jit.compile", S, 9);
+    S.setArg(128);
+  }
+  const std::vector<telemetry::Event> Events = telemetry::drain();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_TRUE(Events[0].IsSpan);
+  EXPECT_STREQ(Events[0].Name, "jit.compile");
+  EXPECT_EQ(Events[0].Gen, 9u);
+  EXPECT_EQ(Events[0].Arg, 128u);
+}
+
+TEST(TraceRingTest, WrapDropsOldestAndCountsDrops) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  // A fresh thread gets a fresh ring, so the shrunken capacity applies
+  // regardless of what the main thread's ring already is.
+  telemetry::setRingCapacity(8);
+  const uint64_t DroppedBefore = telemetry::dropped();
+  std::thread Writer([] {
+    telemetry::setEnabled(true);
+    for (uint64_t I = 0; I != 20; ++I)
+      SEPE_EVENT("test.ring.wrap", 1, I);
+    telemetry::setEnabled(false);
+  });
+  Writer.join();
+  telemetry::setRingCapacity(8192); // Restore the default for later tests.
+  std::vector<telemetry::Event> Mine;
+  for (const telemetry::Event &E : telemetry::drain())
+    if (std::string_view(E.Name) == "test.ring.wrap" && E.Gen == 1)
+      Mine.push_back(E);
+  // 20 emitted into 8 slots: the 8 NEWEST survive, oldest dropped.
+  ASSERT_EQ(Mine.size(), 8u);
+  for (size_t I = 0; I != Mine.size(); ++I)
+    EXPECT_EQ(Mine[I].Arg, 12 + I) << "expected the newest events";
+  EXPECT_EQ(telemetry::dropped() - DroppedBefore, 12u);
+}
+
+TEST(TraceRingTest, MultiThreadDrainIsTimeOrdered) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  TelemetryScope Scope;
+  constexpr size_t NumThreads = 4;
+  constexpr uint64_t PerThread = 64;
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([T] {
+      for (uint64_t I = 0; I != PerThread; ++I)
+        SEPE_EVENT("test.ring.multi", T, I);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  std::vector<telemetry::Event> Events;
+  for (const telemetry::Event &E : telemetry::drain())
+    if (std::string_view(E.Name) == "test.ring.multi")
+      Events.push_back(E);
+  ASSERT_EQ(Events.size(), NumThreads * PerThread);
+  for (size_t I = 0; I != Events.size(); ++I) {
+    if (I != 0)
+      EXPECT_LE(Events[I - 1].TimeNs, Events[I].TimeNs)
+          << "drain must merge rings into time order";
+    ASSERT_LT(Events[I].Gen, NumThreads);
+  }
+  // Per-thread suborder survives the merge: each emitter's args must
+  // come back ascending within its own Gen lane.
+  for (size_t T = 0; T != NumThreads; ++T) {
+    uint64_t Expect = 0;
+    for (const telemetry::Event &E : Events)
+      if (E.Gen == T)
+        EXPECT_EQ(E.Arg, Expect++);
+    EXPECT_EQ(Expect, PerThread);
+  }
+}
+
+TEST(TraceChromeTest, GoldenShape) {
+  const std::string Path = tempPath("sepe_trace_golden.json");
+  uint64_t SpanCount = 0, InstantCount = 0;
+  if (telemetry::compiledIn()) {
+    TelemetryScope Scope;
+    SEPE_EVENT("adaptive.drift.tripped", 3, 250000);
+    {
+      SEPE_SPAN("sharded.migrate", S, 4);
+      S.setArg(17);
+    }
+    SEPE_EVENT("adaptive.swap.publish", 4, 0);
+    SpanCount = 1;
+    InstantCount = 2;
+    ASSERT_TRUE(telemetry::writeChromeTrace(Path));
+  } else {
+    // The compiled-out document must still be a valid empty trace.
+    ASSERT_TRUE(telemetry::writeChromeTrace(Path));
+  }
+
+  Expected<json::Value> Doc = json::parseFile(Path);
+  ASSERT_TRUE(Doc) << Doc.error().Message;
+  const json::Value *Events = Doc->find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_TRUE(Events->isArray());
+  ASSERT_EQ(Events->array().size(), SpanCount + InstantCount);
+
+  uint64_t Spans = 0, Instants = 0;
+  double LastTs = 0;
+  for (const json::Value &E : Events->array()) {
+    const json::Value *Ph = E.find("ph");
+    const json::Value *Ts = E.find("ts");
+    ASSERT_NE(Ph, nullptr);
+    ASSERT_TRUE(Ph->isString());
+    ASSERT_NE(Ts, nullptr);
+    ASSERT_TRUE(Ts->isNumber());
+    ASSERT_NE(E.find("tid"), nullptr);
+    ASSERT_NE(E.find("pid"), nullptr);
+    ASSERT_NE(E.find("name"), nullptr);
+    EXPECT_GE(Ts->number(), LastTs) << "events must be sorted";
+    LastTs = Ts->number();
+    const std::string &Kind = Ph->string();
+    if (Kind == "X") {
+      ++Spans;
+      EXPECT_NE(E.find("dur"), nullptr) << "complete events carry dur";
+    } else {
+      EXPECT_EQ(Kind, "i");
+      ++Instants;
+    }
+  }
+  EXPECT_EQ(Spans, SpanCount);
+  EXPECT_EQ(Instants, InstantCount);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceChromeTest, ArgsCarryGeneration) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  const std::string Path = tempPath("sepe_trace_args.json");
+  {
+    TelemetryScope Scope;
+    SEPE_EVENT("adaptive.swap.publish", 42, 7);
+    ASSERT_TRUE(telemetry::writeChromeTrace(Path));
+  }
+  Expected<json::Value> Doc = json::parseFile(Path);
+  ASSERT_TRUE(Doc) << Doc.error().Message;
+  const json::Value *Events = Doc->find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_EQ(Events->array().size(), 1u);
+  const json::Value &E = Events->array()[0];
+  EXPECT_EQ(E.stringOr("name", ""), "adaptive.swap.publish");
+  const json::Value *Args = E.find("args");
+  ASSERT_NE(Args, nullptr);
+  EXPECT_EQ(Args->numberOr("gen", -1), 42.0);
+  EXPECT_EQ(Args->numberOr("arg", -1), 7.0);
+  std::remove(Path.c_str());
+}
+
+// One occurrence, one record per sink: a ServingTable driven through
+// drift, resynthesis, fast-lane migration and a spill sweep must leave,
+// for every name in the ring, as many instants as its counter and as
+// many spans as its span histogram. The lifecycle names are also pinned
+// to the table's own statistics, so an occurrence recorded at two sites
+// (a drift trip counted by the detector and again by AdaptiveHash, say)
+// fails even though each call feeds both sinks.
+TEST(TelemetryPlaneTest, RingEventsMatchTheirAggregates) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  Expected<FormatSpec> Spec = parseRegex(R"(\d{3}-\d{2}-\d{4})");
+  ASSERT_TRUE(Spec);
+  const KeyPattern Pattern = Spec->abstract();
+  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 0x7e1e);
+  const std::vector<std::string> InFormat = Gen.distinct(128);
+  const DriftProbe Probe = findDriftProbe(Pattern);
+  ASSERT_TRUE(Probe.Valid);
+  std::vector<std::string> Drifted(InFormat);
+  for (std::string &Key : Drifted)
+    Key[Probe.Pos] = Probe.Byte;
+
+  AdaptiveOptions Options;
+  Options.Family = HashFamily::Pext;
+  Options.Background = false;
+  Options.Cooldown = std::chrono::milliseconds(0);
+  Options.DriftWindow = 256;
+
+  const uint64_t DroppedBefore = telemetry::dropped();
+  std::map<std::string, uint64_t> Instants, Spans;
+  uint64_t Observed = 0, Swaps = 0, Migrations = 0;
+  {
+    TelemetryScope Scope;
+    {
+      ServingTable<uint64_t> Table(Pattern, Options, /*ShardCountHint=*/4);
+      for (size_t I = 0; I != InFormat.size(); ++I) {
+        Table.put(InFormat[I], I);
+        Table.put(Drifted[I], InFormat.size() + I);
+      }
+      for (int Round = 0; Round != 4; ++Round)
+        for (const std::string &Key : Drifted) {
+          uint64_t V = 0;
+          ASSERT_TRUE(Table.get(Key, V));
+        }
+      ASSERT_TRUE(Table.adaptive().resynthesisPending());
+      ASSERT_TRUE(Table.adaptive().pumpResynthesis());
+      ASSERT_TRUE(Table.maintain());
+      ASSERT_EQ(Table.stats().SpillSize, 0u) << "the sweep moved every key";
+      const AdaptiveHash &Adaptive = Table.adaptive();
+      Observed = Adaptive.guardPasses() + Adaptive.guardMisses();
+      Swaps = Adaptive.swaps();
+      Migrations = Table.stats().Migrations;
+    }
+    for (const telemetry::Event &E : telemetry::drain())
+      ++(E.IsSpan ? Spans : Instants)[E.Name];
+  }
+  EXPECT_EQ(telemetry::dropped(), DroppedBefore) << "run sized to fit";
+
+  // Every window mixes half or more drifted keys, far past the 2%
+  // threshold, so every window that closed tripped exactly once.
+  EXPECT_EQ(Instants["adaptive.drift.tripped"], Observed / 256);
+  EXPECT_EQ(Instants["adaptive.swap.publish"], Swaps + 1)
+      << "construction publishes epoch 0";
+  EXPECT_EQ(Instants["adaptive.drift.reset"], Swaps);
+  EXPECT_EQ(Spans["adaptive.resynth.attempt"], 1u);
+  EXPECT_EQ(Spans["sharded.migrate"], Migrations);
+  EXPECT_EQ(Instants["sharded.migrate.publish"], Migrations);
+  EXPECT_EQ(Spans["serving.spill.sweep"], 1u);
+  EXPECT_GE(Swaps, 1u);
+  EXPECT_GE(Migrations, 1u);
+
+  for (const auto &[Name, N] : Instants)
+    EXPECT_EQ(telemetry::counter(Name.c_str()).value(), N) << Name;
+  for (const auto &[Name, N] : Spans)
+    EXPECT_EQ(telemetry::span(Name.c_str()).count(), N) << Name;
 }
 
 } // namespace
