@@ -298,55 +298,14 @@ public:
   /// tests and the ablation benchmark.
   size_t tombstones() const { return Tombstones; }
 
-  /// Dense probe over pre-hashed images: Out[I] = findHashed(Images[I])
-  /// (nullptr when absent). The shard-composable form of the lookup —
-  /// ShardedIndexMap partitions a batch-hashed chunk by shard and runs
-  /// each shard's dense group through this under one lock acquisition.
-  void findHashedBatch(const uint64_t *Images, Value **Out, size_t N) {
-    for (size_t I = 0; I != N; ++I)
-      Out[I] = findImage(Images[I]);
-  }
-
   /// Visits every live (image, value) mapping; \p Fn is called as
   /// Fn(uint64_t Image, const Value &V). The enumeration primitive the
-  /// sharded migration copies a sealed shard with (the map stores no
-  /// key text, so images are all there is to enumerate).
+  /// sharded migration copies a sealed shard with (it rebuilds each key
+  /// from its image: core/plan.h invertImage).
   template <typename Fn> void forEachEntry(Fn &&F) const {
     for (size_t S = 0; S != Slots.size(); ++S)
       if (Ctrl[S] >= 0)
         F(Slots[S].Image, Slots[S].V);
-  }
-
-  /// Migration across a hash swap (runtime/adaptive_hash.h): builds a
-  /// new map keyed by \p NewHash holding exactly this map's key->value
-  /// mappings. Because this container stores only images, the caller
-  /// must supply the key universe (\p Keys, \p N) — any superset of the
-  /// stored format keys works; keys absent from this map are skipped and
-  /// duplicates are harmless. Both hashes run through their batch
-  /// kernels, so migration costs two batched hash sweeps plus the
-  /// inserts. The build is entirely off to the side: readers of *this*
-  /// are untouched until the caller publishes the returned map (the
-  /// epoch-swap pattern the adaptive runtime uses), which is what makes
-  /// the swap safe under concurrent readers of the old map. Asserts that
-  /// the keys covered every stored mapping; \p NewHash must be
-  /// bijective.
-  FlatIndexMap rehashWith(SynthesizedHash NewHash,
-                          const std::string_view *Keys, size_t N) const {
-    SEPE_COUNT("flat_index_map.rehash_with");
-    FlatIndexMap NewMap(std::move(NewHash), Elements + 1);
-    uint64_t OldImages[BatchBlock];
-    uint64_t NewImages[BatchBlock];
-    for (size_t I = 0; I < N; I += BatchBlock) {
-      const size_t Count = N - I < BatchBlock ? N - I : BatchBlock;
-      Hash.hashBatch(Keys + I, OldImages, Count);
-      NewMap.Hash.hashBatch(Keys + I, NewImages, Count);
-      for (size_t J = 0; J != Count; ++J)
-        if (const Value *V = findHashed(OldImages[J]))
-          NewMap.insertHashed(NewImages[J], *V);
-    }
-    assert(NewMap.size() == size() &&
-           "rehashWith keys must cover every stored mapping");
-    return NewMap;
   }
 
 private:

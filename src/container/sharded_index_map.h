@@ -28,9 +28,10 @@
 ///
 ///   1. The successor pointer is stored into the old table, then each
 ///      shard is *sealed* (flag flipped under its write lock) and its
-///      live entries copied through old-hash/new-hash batch sweeps into
-///      the successor's shards (keys scatter: a new plan images a key
-///      into a new shard).
+///      live entries copied into the successor's shards: each key is
+///      rebuilt from its old image and re-hashed through the new plan's
+///      batch kernel (keys scatter: a new plan images a key into a new
+///      shard).
 ///   2. Writers that find their shard sealed dual-write: the mutation
 ///      applies to the old table and is replayed against the successor
 ///      (re-hashed with the successor's plan). Seal + successor are
@@ -47,10 +48,10 @@
 /// Locks nest old-shard -> successor-shard only, and the old shards
 /// held are always distinct across threads, so the order is acyclic.
 ///
-/// FlatIndexMap stores images, not key text, so each shard keeps a
-/// journal of inserted keys (appended under the write lock); the
-/// journal is the key universe the migration sweep re-hashes, and is
-/// compacted to the live keyset as a side effect of every migration.
+/// FlatIndexMap stores images, not key text, and nothing else keeps the
+/// keys: each table's plan inverts its pattern (asserted at
+/// construction), so the copy rebuilds every live key from its image
+/// (core/plan.h invertImage). Memory follows the live set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,11 +60,13 @@
 
 #include "container/flat_index_map.h"
 #include "core/key_pattern.h"
+#include "core/plan.h"
 #include "support/telemetry.h"
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -132,18 +135,18 @@ public:
     size_t Size = 0;
     size_t Capacity = 0;
     size_t Tombstones = 0;
-    size_t JournalLen = 0;
   };
 
-  /// \p Hash must be bijective (FlatIndexMap's soundness condition).
-  /// \p Pattern is the generation's guard: the unguarded entry points
-  /// never check it (keys are preconditioned to conform, as everywhere
-  /// in the executor), the *Guarded ones do. \p EpochLabel is an opaque
+  /// \p Hash must be invertible on \p Pattern (core/plan.h), so images
+  /// are sound keys and migrate() can rebuild keys from them. \p Pattern
+  /// is also the generation's guard: the unguarded entry points never
+  /// check it (keys are preconditioned to conform, as everywhere in the
+  /// executor), the *Guarded ones do. \p EpochLabel is an opaque
   /// generation tag the labeled entry points validate images against —
   /// the serving layer labels each table with the AdaptiveHash epoch
   /// whose plan keys it. \p ShardCountHint rounds up to a power of two,
   /// clamped to [1, 256].
-  explicit ShardedIndexMap(SynthesizedHash Hash, KeyPattern Pattern = {},
+  explicit ShardedIndexMap(SynthesizedHash Hash, KeyPattern Pattern,
                            uint64_t EpochLabel = 0,
                            size_t ShardCountHint = 16,
                            size_t InitialCapacityPerShard = 16) {
@@ -197,8 +200,7 @@ public:
     const Table *T = active();
     const Shard &S = *T->Shards[Index & (shardCount() - 1)];
     std::shared_lock<std::shared_mutex> Lock(S.Mutex);
-    return {S.Map.size(), S.Map.capacity(), S.Map.tombstones(),
-            S.Journal.size()};
+    return {S.Map.size(), S.Map.capacity(), S.Map.tombstones()};
   }
 
   /// Per-shard lock-contention counters: how many read/write lock
@@ -398,8 +400,8 @@ public:
   }
 
   /// Labeled insert; false (nothing written) when \p EpochLabel no
-  /// longer matches the active table. \p Key is journaled for future
-  /// migrations, so it must be the preimage of \p Image.
+  /// longer matches the active table. \p Key must be the preimage of
+  /// \p Image: a sealed shard replays it against the successor.
   bool putHashed(std::string_view Key, uint64_t Image, uint64_t EpochLabel,
                  Value V, bool &Inserted) {
     Table *T = activeMutable();
@@ -566,7 +568,7 @@ public:
   /// old shard's write lock (see the file comment for the
   /// seal/dual-write protocol), then publishes it. Readers and writers
   /// stay live throughout; concurrent migrate() calls serialize.
-  /// \p NewHash must be bijective.
+  /// \p NewHash must be invertible on \p NewPattern.
   void migrate(SynthesizedHash NewHash, KeyPattern NewPattern,
                uint64_t NewLabel) {
     SEPE_SPAN("sharded.migrate", Migrate, NewLabel);
@@ -597,9 +599,8 @@ public:
   }
 
 private:
-  /// One shard: an independent FlatIndexMap behind a shared_mutex,
-  /// plus the inserted-key journal migrations re-hash. Cache-line
-  /// aligned so two shards' mutexes never share a line.
+  /// One shard: an independent FlatIndexMap behind a shared_mutex.
+  /// Cache-line aligned so two shards' mutexes never share a line.
   struct alignas(64) Shard {
     explicit Shard(const SynthesizedHash &Hash, size_t InitialCapacity)
         : Map(Hash, InitialCapacity) {}
@@ -612,10 +613,6 @@ private:
     mutable std::atomic<uint64_t> UniqueAcquires{0};
     mutable std::atomic<uint64_t> UniqueContended{0};
     FlatIndexMap<Value> Map;
-    /// Keys inserted into this shard, appended under the write lock.
-    /// May hold erased keys (skipped at migration) and re-inserted
-    /// duplicates (harmless there); compacted by each migration.
-    std::vector<std::string> Journal;
     /// True once a migration has copied (or is copying) this shard;
     /// writers must replay their mutation against Successor. Guarded
     /// by Mutex.
@@ -629,6 +626,8 @@ private:
     Table(SynthesizedHash Hash, KeyPattern Pattern, uint64_t Epoch,
           size_t ShardCount, size_t InitialCapacityPerShard)
         : Hash(std::move(Hash)), Pattern(std::move(Pattern)), Epoch(Epoch) {
+      assert(invertible(this->Hash.plan(), this->Pattern) &&
+             "migrate() rebuilds keys from images of this plan");
       Shards.reserve(ShardCount);
       for (size_t I = 0; I != ShardCount; ++I)
         Shards.push_back(
@@ -675,13 +674,11 @@ private:
     return S.Mutex;
   }
 
-  /// Insert under \p S's write lock, journaling and (when sealed)
-  /// replaying against the successor.
+  /// Insert under \p S's write lock, replaying against the successor
+  /// when sealed.
   bool putLocked(Table &T, Shard &S, std::string_view Key, uint64_t Image,
                  Value V) {
     const bool Inserted = S.Map.insertHashed(Image, V);
-    if (Inserted)
-      S.Journal.emplace_back(Key);
     if (S.Sealed && Inserted)
       replayPut(T, Key, std::move(V));
     return Inserted;
@@ -699,8 +696,7 @@ private:
     Shard &S = Next.shardFor(Image);
     std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
                                              std::adopt_lock);
-    if (S.Map.insertHashed(Image, std::move(V)))
-      S.Journal.emplace_back(Key);
+    S.Map.insertHashed(Image, std::move(V));
   }
 
   void replayErase(Table &T, std::string_view Key) {
@@ -713,42 +709,40 @@ private:
     S.Map.eraseHashed(Image);
   }
 
-  /// Copies shard \p S's live entries into \p Next, re-hashed through
-  /// both plans' batch kernels. Runs with S's write lock held — also
-  /// across the successor inserts, so a concurrent erase (which needs
-  /// this same lock before it can dual-write) can never be undone by a
-  /// stale copy landing after it. Returns the number of live entries
-  /// copied.
+  /// Copies shard \p S's live entries into \p Next: keys rebuilt from
+  /// their images with the old plan and pattern, re-hashed per chunk
+  /// through the new plan's batch kernel. Runs with S's write lock held
+  /// — also across the successor inserts, so a concurrent erase (which
+  /// needs this same lock before it can dual-write) can never be undone
+  /// by a stale copy landing after it. Returns the entries copied.
   size_t copyShardLocked(Shard &S, Table &Old, Table &Next) {
+    const size_t Len = Old.Pattern.maxLength();
+    std::vector<char> KeyBytes(shard::ChunkSize * Len);
+    std::string_view Keys[shard::ChunkSize];
+    const Value *Values[shard::ChunkSize];
+    uint64_t Images[shard::ChunkSize];
+    size_t Count = 0;
     size_t Copied = 0;
-    uint64_t OldImages[shard::ChunkSize];
-    uint64_t NewImages[shard::ChunkSize];
-    std::string_view KeyViews[shard::ChunkSize];
-    for (size_t Base = 0; Base < S.Journal.size();
-         Base += shard::ChunkSize) {
-      const size_t Count =
-          std::min(shard::ChunkSize, S.Journal.size() - Base);
-      for (size_t I = 0; I != Count; ++I)
-        KeyViews[I] = S.Journal[Base + I];
-      Old.Hash.hashBatch(KeyViews, OldImages, Count);
-      Next.Hash.hashBatch(KeyViews, NewImages, Count);
+    const auto Flush = [&] {
+      Next.Hash.hashBatch(Keys, Images, Count);
       for (size_t I = 0; I != Count; ++I) {
-        const Value *V = S.Map.findHashed(OldImages[I]);
-        if (!V)
-          continue; // Erased since it was journaled.
-        Shard &Dest = Next.shardFor(NewImages[I]);
+        Shard &Dest = Next.shardFor(Images[I]);
         std::unique_lock<std::shared_mutex> Lock(acquireUnique(Dest),
                                                  std::adopt_lock);
-        if (Dest.Map.insertHashed(NewImages[I], *V)) {
-          Dest.Journal.emplace_back(KeyViews[I]);
-          ++Copied;
-        }
-        // Insert returning false means a journal duplicate (erase +
-        // re-insert of the same key); the live value was already
-        // copied by the first occurrence's lookup of the *current*
-        // map state, so dropping the duplicate is correct.
+        Copied += Dest.Map.insertHashed(Images[I], *Values[I]) ? 1 : 0;
       }
-    }
+      Count = 0;
+    };
+    S.Map.forEachEntry([&](uint64_t Image, const Value &V) {
+      char *Key = KeyBytes.data() + Count * Len;
+      invertImage(Old.Hash.plan(), Old.Pattern, Image, Key);
+      Keys[Count] = std::string_view(Key, Len);
+      Values[Count] = &V;
+      if (++Count == shard::ChunkSize)
+        Flush();
+    });
+    if (Count != 0)
+      Flush();
     return Copied;
   }
 

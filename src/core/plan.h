@@ -86,8 +86,8 @@ struct HashPlan {
 
   /// True when this plan provably maps distinct format keys to distinct
   /// 64-bit values (Section 4.2: "Pext always generates a bijection for
-  /// key types that have equal or less than 64 relevant bits"). Only
-  /// Pext plans whose chunks occupy disjoint bit ranges qualify.
+  /// key types that have equal or less than 64 relevant bits"). Always
+  /// provesBijective(*this).
   bool Bijective = false;
 
   bool usesSkipTable() const { return !FixedLength; }
@@ -99,6 +99,22 @@ struct HashPlan {
   /// Multi-line textual dump for debugging and golden tests.
   std::string str() const;
 };
+
+/// True when \p Plan is a fixed-length Pext plan whose steps extract
+/// exactly FreeBits bits into disjoint, non-wrapping ranges of the image
+/// (a partial load: one unshifted step at offset 0).
+bool provesBijective(const HashPlan &Plan);
+
+/// True when invertImage is exact: \p Plan proves bijective and its
+/// masks select exactly the free bits of \p Pattern, a fixed-length
+/// pattern of Plan.MaxKeyLen bytes.
+bool invertible(const HashPlan &Plan, const KeyPattern &Pattern);
+
+/// Writes the \p Pattern key whose \p Plan image is \p Image to \p Out
+/// (Pattern.maxLength() bytes): each step's chunk is deposited back onto
+/// its mask (pdep) over the pattern's constant bytes.
+void invertImage(const HashPlan &Plan, const KeyPattern &Pattern,
+                 uint64_t Image, char *Out);
 
 } // namespace sepe
 

@@ -147,7 +147,7 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     } else if (Key == "len") {
       uint64_t Min = 0, Max = 0;
       if (Tokens.size() != 3 || !parseU64(Tokens[1], Min) ||
-          !parseU64(Tokens[2], Max) || Min > Max)
+          !parseU64(Tokens[2], Max) || Min > Max || Max > UINT32_MAX)
         return lineError(LineNo, "len requires 'min max' with min <= max");
       Plan.MinKeyLen = static_cast<uint32_t>(Min);
       Plan.MaxKeyLen = static_cast<uint32_t>(Max);
@@ -175,8 +175,9 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
       uint64_t Offset = 0, Mask = 0, Shift = 0;
       if (Tokens.size() != 4 || !parseU64(Tokens[1], Offset) ||
           !parseU64(Tokens[2], Mask) || !parseU64(Tokens[3], Shift) ||
-          Shift >= 64)
-        return lineError(LineNo, "step requires 'offset mask shift<64'");
+          Offset > UINT32_MAX || Shift >= 64)
+        return lineError(LineNo,
+                         "step requires 'offset<2^32 mask shift<64'");
       Plan.Steps.push_back(PlanStep{static_cast<uint32_t>(Offset), Mask,
                                     static_cast<uint8_t>(Shift)});
     } else if (Key == "skip") {
@@ -213,5 +214,15 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     return Error{"skip table and mask count disagree"};
   if (!Plan.FallbackToStl && Plan.FixedLength && Plan.Steps.empty())
     return Error{"fixed-length plan without steps"};
+  // The kernels load unchecked: a fixed step reads eight bytes at its
+  // offset, a partial step the whole key from offset 0.
+  for (const PlanStep &S : Plan.Steps)
+    if (Plan.PartialLoad ? S.Offset != 0
+                         : Plan.FixedLength && S.Offset + 8ull > Plan.MinKeyLen)
+      return Error{"step at offset " + std::to_string(S.Offset) +
+                   " loads past the key"};
+  // Image-keyed containers trust this flag to drop the key text.
+  if (Plan.Bijective != provesBijective(Plan))
+    return Error{"the bijective flag disagrees with the plan's steps"};
   return Plan;
 }

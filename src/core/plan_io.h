@@ -39,6 +39,8 @@ std::string serializePlan(const HashPlan &Plan);
 
 /// Parses a plan previously produced by serializePlan. Fails with a
 /// line-numbered message on malformed input; round-trips every field.
+/// Also rejects loads outside the key and a bijective flag that
+/// provesBijective disagrees with.
 Expected<HashPlan> deserializePlan(std::string_view Text);
 
 } // namespace sepe

@@ -14,29 +14,6 @@ using namespace sepe;
 
 namespace {
 
-/// A fixed-length Pext plan is a bijection when every free bit of the
-/// format is extracted exactly once and the rotated chunks land in
-/// disjoint bit ranges of the result.
-bool isBijectivePext(const std::vector<PlanStep> &Steps, unsigned FreeBits) {
-  if (FreeBits > 64)
-    return false;
-  uint64_t Occupied = 0;
-  unsigned Extracted = 0;
-  for (const PlanStep &S : Steps) {
-    const unsigned Width = static_cast<unsigned>(std::popcount(S.Mask));
-    Extracted += Width;
-    if (S.Shift + Width > 64)
-      return false; // The rotation would wrap into earlier chunks.
-    const uint64_t Range =
-        (Width == 64 ? ~uint64_t{0} : ((uint64_t{1} << Width) - 1))
-        << S.Shift;
-    if ((Occupied & Range) != 0)
-      return false;
-    Occupied |= Range;
-  }
-  return Extracted == FreeBits;
-}
-
 /// Assigns pext shifts: chunks pack upward from bit 0 in load order, and
 /// when the format has spare room the final chunk is hoisted so the most
 /// significant hash bit is populated (Figure 12, Step 3). The first
@@ -79,11 +56,9 @@ Expected<HashPlan> synthesizeShortKey(const KeyPattern &Pattern,
     for (size_t J = 0; J != Pattern.maxLength(); ++J)
       Mask |= static_cast<uint64_t>(Pattern.byteAt(J).freeMask()) << (8 * J);
     Step.Mask = Mask;
-    // A single full-coverage extraction of a sub-word key is trivially
-    // injective.
-    Plan.Bijective = true;
   }
   Plan.Steps.push_back(Step);
+  Plan.Bijective = provesBijective(Plan);
   return Plan;
 }
 
@@ -126,10 +101,9 @@ Expected<HashPlan> sepe::synthesize(const KeyPattern &Pattern,
       }
       Plan.Steps.push_back(Step);
     }
-    if (Family == HashFamily::Pext) {
+    if (Family == HashFamily::Pext)
       assignPextShifts(Plan.Steps, Options.SpreadToTopBits);
-      Plan.Bijective = isBijectivePext(Plan.Steps, Plan.FreeBits);
-    }
+    Plan.Bijective = provesBijective(Plan);
     return Plan;
   }
 

@@ -239,85 +239,65 @@ AdaptiveHash::Snapshot AdaptiveHash::snapshot() const {
   return {G->Epoch, G->Pattern, G->Fast};
 }
 
-void AdaptiveHash::setSwapListener(
-    std::function<void(uint64_t)> Listener) {
-  std::lock_guard<std::mutex> Lock(SwapMutex);
-  SwapListener = std::move(Listener);
-}
-
 bool AdaptiveHash::pumpResynthesis() {
   return performResynthesis(/*RespectCooldown=*/false);
 }
 
 bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
   SEPE_SPAN("adaptive.resynth.attempt", Attempt, epoch());
-  uint64_t NewEpoch = 0;
-  std::function<void(uint64_t)> Listener;
-  {
-    std::lock_guard<std::mutex> Lock(SwapMutex);
-    Pending.store(false, std::memory_order_release);
-    if (RespectCooldown) {
-      const int64_t Last = LastSwapNs.load(std::memory_order_relaxed);
-      const int64_t CooldownNs =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              Options.Cooldown)
-              .count();
-      if (Last != 0 && nowNs() - Last < CooldownNs) {
-        SEPE_COUNT("adaptive.resynthesis.skipped_cooldown");
-        Attempt.setArg(
-            static_cast<uint64_t>(ResynthOutcome::SkippedCooldown));
-        return false;
-      }
-    }
-    if (Sampler.size() < Options.MinSamples) {
-      SEPE_COUNT("adaptive.resynthesis.skipped_few_samples");
-      Attempt.setArg(
-          static_cast<uint64_t>(ResynthOutcome::SkippedFewSamples));
+  std::lock_guard<std::mutex> Lock(SwapMutex);
+  Pending.store(false, std::memory_order_release);
+  if (RespectCooldown) {
+    const int64_t Last = LastSwapNs.load(std::memory_order_relaxed);
+    const int64_t CooldownNs =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Options.Cooldown)
+            .count();
+    if (Last != 0 && nowNs() - Last < CooldownNs) {
+      SEPE_COUNT("adaptive.resynthesis.skipped_cooldown");
+      Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SkippedCooldown));
       return false;
     }
-    const Generation *Cur = Active.load(std::memory_order_relaxed);
-    const std::vector<std::string> Samples = Sampler.drain();
-    const KeyPattern Sampled = inferPattern(Samples);
-    // Cold start joins nothing: joining with an empty pattern would widen
-    // MinLen to 0 and every position to near-top, destroying the structure
-    // the samples just revealed.
-    const KeyPattern Joined = (!Cur->Fast.valid() && Cur->Pattern.empty())
-                                  ? Sampled
-                                  : join(Cur->Pattern, Sampled);
-    if (Joined == Cur->Pattern) {
-      SEPE_COUNT("adaptive.resynthesis.skipped_unchanged");
-      Attempt.setArg(
-          static_cast<uint64_t>(ResynthOutcome::SkippedUnchanged));
-      return false;
-    }
-    Expected<HashPlan> Plan = synthesize(Joined, Options.Family);
-    if (!Plan) {
-      SEPE_COUNT("adaptive.resynthesis.synthesis_failed");
-      Attempt.setArg(
-          static_cast<uint64_t>(ResynthOutcome::SynthesisFailed));
-      FailedSyntheses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    auto G = std::make_unique<Generation>();
-    G->Pattern = Joined;
-    G->Fast = SynthesizedHash(Plan.take(), Options.Isa, Options.Preferred);
-    G->Guard = G->Fast.compileGuard(G->Pattern);
-    G->Epoch = Cur->Epoch + 1;
-    NewEpoch = G->Epoch;
-    publish(std::move(G));
-    Swaps.fetch_add(1, std::memory_order_relaxed);
-    LastSwapNs.store(nowNs(), std::memory_order_relaxed);
-    Detector.reset();
-    SEPE_EVENT("adaptive.drift.reset", NewEpoch, 0);
-    SEPE_COUNT("adaptive.swap");
-    Attempt.setGen(NewEpoch);
-    Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::Swapped));
-    Listener = SwapListener;
   }
-  // Outside SwapMutex so a listener may call back into the hash (e.g.
-  // pump again, or read snapshot()) without self-deadlocking.
-  if (Listener)
-    Listener(NewEpoch);
+  if (Sampler.size() < Options.MinSamples) {
+    SEPE_COUNT("adaptive.resynthesis.skipped_few_samples");
+    Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SkippedFewSamples));
+    return false;
+  }
+  const Generation *Cur = Active.load(std::memory_order_relaxed);
+  const std::vector<std::string> Samples = Sampler.drain();
+  const KeyPattern Sampled = inferPattern(Samples);
+  // Cold start joins nothing: joining with an empty pattern would widen
+  // MinLen to 0 and every position to near-top, destroying the structure
+  // the samples just revealed.
+  const KeyPattern Joined = (!Cur->Fast.valid() && Cur->Pattern.empty())
+                                ? Sampled
+                                : join(Cur->Pattern, Sampled);
+  if (Joined == Cur->Pattern) {
+    SEPE_COUNT("adaptive.resynthesis.skipped_unchanged");
+    Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SkippedUnchanged));
+    return false;
+  }
+  Expected<HashPlan> Plan = synthesize(Joined, Options.Family);
+  if (!Plan) {
+    SEPE_COUNT("adaptive.resynthesis.synthesis_failed");
+    Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SynthesisFailed));
+    FailedSyntheses.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  auto G = std::make_unique<Generation>();
+  G->Pattern = Joined;
+  G->Fast = SynthesizedHash(Plan.take(), Options.Isa, Options.Preferred);
+  G->Guard = G->Fast.compileGuard(G->Pattern);
+  G->Epoch = Cur->Epoch + 1;
+  const uint64_t NewEpoch = G->Epoch;
+  publish(std::move(G));
+  Swaps.fetch_add(1, std::memory_order_relaxed);
+  LastSwapNs.store(nowNs(), std::memory_order_relaxed);
+  Detector.reset();
+  SEPE_EVENT("adaptive.drift.reset", NewEpoch, 0);
+  SEPE_COUNT("adaptive.swap");
+  Attempt.setGen(NewEpoch);
+  Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::Swapped));
   return true;
 }
 

@@ -21,9 +21,9 @@
 ///
 /// Hash values change across a swap (a different plan is a different
 /// function). Containers keyed through an AdaptiveHash must watch
-/// epoch() and migrate with their rehashWith entry points
-/// (container/flat_index_map.h, container/low_mix_table.h) — exactly
-/// the contract of the paper's offline workflow, moved online.
+/// epoch() and migrate (ShardedIndexMap::migrate, which
+/// ServingTable::maintain drives; LowMixTable rebuilds in place) —
+/// exactly the contract of the paper's offline workflow, moved online.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -134,7 +133,7 @@ public:
                  size_t N) const;
 
   /// Generation counter; bumps on every hot swap. Containers compare it
-  /// against the epoch they built at and rehashWith on mismatch.
+  /// against the epoch they built at and migrate on mismatch.
   uint64_t epoch() const;
 
   /// Pattern guarding the current generation.
@@ -176,13 +175,6 @@ public:
   /// sampling happen exactly as in hashBatch.
   size_t routeBatch(const std::string_view *Keys, uint64_t *Out, size_t N,
                     uint32_t *MissIdx, uint64_t &Epoch) const;
-
-  /// Registers \p Listener to run after every hot swap publish, on the
-  /// publishing thread, outside SwapMutex (so a listener may call back
-  /// into the AdaptiveHash). The serving layer uses it to kick shard
-  /// migration instead of polling epoch(). Must be set before
-  /// concurrent hashing starts; one listener at a time.
-  void setSwapListener(std::function<void(uint64_t NewEpoch)> Listener);
 
   /// Hot swaps completed.
   uint64_t swaps() const { return Swaps.load(std::memory_order_relaxed); }
@@ -266,9 +258,6 @@ private:
 
   /// Serializes resynthesis + publish (never taken by readers).
   std::mutex SwapMutex;
-
-  /// Post-swap hook (setSwapListener); invoked outside SwapMutex.
-  std::function<void(uint64_t)> SwapListener;
 
   mutable KeySampler Sampler;
   mutable KeySampler InFormatSampler;

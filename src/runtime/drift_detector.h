@@ -28,8 +28,9 @@
 
 namespace sepe {
 
-/// Lock-free sliding-window drift detector.
-class DriftDetector {
+/// Lock-free sliding-window drift detector. Every guarded key writes
+/// it, so it owns its cache line: no read-mostly neighbour shares it.
+class alignas(64) DriftDetector {
 public:
   /// What one batched observation did to the live window.
   enum class Window {

@@ -157,8 +157,8 @@ inline void pext16x8(const uint16_t Src[8], const uint16_t Mask[8],
     Out[L] = static_cast<uint16_t>(pextSoft(Src[L], Mask[L]));
 }
 
-/// Software parallel bit deposit (inverse of pext); used by tests to prove
-/// that Pext plans are bijections.
+/// Software parallel bit deposit (inverse of pext): the low popcount(Mask)
+/// bits of \p Src are scattered, in order, onto the bits \p Mask selects.
 inline uint64_t pdepSoft(uint64_t Src, uint64_t Mask) {
   uint64_t Result = 0;
   for (unsigned K = 0; Mask != 0; Mask &= Mask - 1, ++K) {
@@ -167,6 +167,15 @@ inline uint64_t pdepSoft(uint64_t Src, uint64_t Mask) {
       Result |= LowBit;
   }
   return Result;
+}
+
+/// Hardware pdep when available; falls back to the software routine.
+inline uint64_t pdepHw(uint64_t Src, uint64_t Mask) {
+#if defined(SEPE_HAVE_BMI2)
+  return _pdep_u64(Src, Mask);
+#else
+  return pdepSoft(Src, Mask);
+#endif
 }
 
 /// 128-bit multiply returning (low, high); the mixing primitive of

@@ -137,6 +137,17 @@ TEST(BitOpsTest, PdepIsInverseOfPextOnMask) {
   }
 }
 
+TEST(BitOpsTest, HardwarePdepMatchesSoftware) {
+  std::mt19937_64 Rng(6);
+  for (int I = 0; I != 1000; ++I) {
+    const uint64_t Src = Rng();
+    const uint64_t Mask = I % 3 == 0 ? Rng() & Rng() : Rng();
+    ASSERT_EQ(pdepHw(Src, Mask), pdepSoft(Src, Mask)) << std::hex << Mask;
+  }
+  EXPECT_EQ(pdepHw(~0ULL, 0), 0u);
+  EXPECT_EQ(pdepHw(~0ULL, ~0ULL), ~0ULL);
+}
+
 TEST(BitOpsTest, Mul128KnownProducts) {
   uint64_t Lo, Hi;
   mul128(~0ULL, 2, Lo, Hi);

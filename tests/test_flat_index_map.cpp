@@ -13,11 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <map>
 #include <random>
-#include <thread>
 #include <unordered_map>
 
 using namespace sepe;
@@ -343,107 +340,11 @@ TEST(FlatIndexMapTest, InsertBatchHashesThroughBatchKernel) {
             0u);
 }
 
-/// A second, different bijection over the same format: Pext with the
-/// top-bits spread disabled packs the extracted chunks low, so images
-/// differ from the default while injectivity is preserved.
-SynthesizedHash bijectiveHashNoSpread(const std::string &Regex) {
-  Expected<FormatSpec> Spec = parseRegex(Regex);
-  EXPECT_TRUE(Spec);
-  SynthesisOptions Options;
-  Options.SpreadToTopBits = false;
-  Expected<HashPlan> Plan =
-      synthesize(Spec->abstract(), HashFamily::Pext, Options);
-  EXPECT_TRUE(Plan);
-  EXPECT_TRUE(Plan->Bijective) << Regex;
-  return SynthesizedHash(Plan.take());
-}
-
-TEST(FlatIndexMapTest, RehashWithPreservesEveryMapping) {
-  // >8 bytes so the pext plan has two extraction steps — the top-bits
-  // spread only moves the last chunk of a multi-step plan, and the two
-  // hashes must genuinely differ for the migration to mean anything.
-  const char *Regex = R"([0-9]{9}zzzzzzz)";
-  const SynthesizedHash OldHash = bijectiveHash(Regex);
-  const SynthesizedHash NewHash = bijectiveHashNoSpread(Regex);
-  Expected<FormatSpec> Spec = parseRegex(Regex);
-  ASSERT_TRUE(Spec);
-  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 313);
-  const std::vector<std::string> Keys = Gen.distinct(5000);
-  // The two bijections genuinely disagree, so the migration below is
-  // not a no-op.
-  ASSERT_NE(OldHash(Keys[0]), NewHash(Keys[0]));
-
-  FlatIndexMap<int> Map(OldHash);
-  for (size_t I = 0; I != Keys.size(); ++I)
-    Map.insert(Keys[I], static_cast<int>(I));
-
-  const std::vector<std::string_view> Views(Keys.begin(), Keys.end());
-  const FlatIndexMap<int> Migrated =
-      Map.rehashWith(NewHash, Views.data(), Views.size());
-  EXPECT_EQ(Migrated.size(), Map.size());
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    const int *Value = Migrated.find(Keys[I]);
-    ASSERT_NE(Value, nullptr) << Keys[I];
-    EXPECT_EQ(*Value, static_cast<int>(I));
-    // The migrated map is keyed by the new bijection's images.
-    EXPECT_EQ(Migrated.findHashed(NewHash(Keys[I])), Value);
-  }
-  // The source map is untouched (rehashWith builds off to the side).
-  for (size_t I = 0; I != Keys.size(); ++I)
-    EXPECT_NE(Map.find(Keys[I]), nullptr);
-}
-
-TEST(FlatIndexMapTest, RehashWithIsSafeUnderConcurrentReaders) {
-  // The adaptive swap protocol: readers keep resolving lookups through
-  // an atomically published map pointer while rehashWith builds the
-  // successor; after the pointer swings, they resolve through the new
-  // map. Either generation must answer every lookup correctly.
-  const char *Regex = R"([0-9]{9}zzzzzzz)";
-  Expected<FormatSpec> Spec = parseRegex(Regex);
-  ASSERT_TRUE(Spec);
-  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 717);
-  const std::vector<std::string> Keys = Gen.distinct(2000);
-
-  FlatIndexMap<int> OldMap(bijectiveHash(Regex));
-  for (size_t I = 0; I != Keys.size(); ++I)
-    OldMap.insert(Keys[I], static_cast<int>(I));
-  std::atomic<const FlatIndexMap<int> *> Active{&OldMap};
-
-  std::atomic<bool> Stop{false};
-  std::atomic<bool> Failed{false};
-  std::vector<std::thread> Readers;
-  for (int T = 0; T != 4; ++T)
-    Readers.emplace_back([&, T] {
-      std::mt19937_64 Rng(T);
-      while (!Stop.load(std::memory_order_acquire)) {
-        const FlatIndexMap<int> *Map = Active.load(std::memory_order_acquire);
-        const size_t I = Rng() % Keys.size();
-        const int *Value = Map->find(Keys[I]);
-        if (Value == nullptr || *Value != static_cast<int>(I)) {
-          Failed.store(true, std::memory_order_release);
-          return;
-        }
-      }
-    });
-
-  const std::vector<std::string_view> Views(Keys.begin(), Keys.end());
-  const FlatIndexMap<int> NewMap =
-      OldMap.rehashWith(bijectiveHashNoSpread(Regex), Views.data(),
-                        Views.size());
-  Active.store(&NewMap, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &T : Readers)
-    T.join();
-  EXPECT_FALSE(Failed.load());
-  EXPECT_EQ(NewMap.size(), Keys.size());
-}
-
 } // namespace
 
 TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
-  // Randomized insert/erase/find interleavings (with batch inserts and
-  // batch probes mixed in) mirrored against std::unordered_map: after
+  // Randomized insert/erase/find interleavings (with batch inserts
+  // mixed in) mirrored against std::unordered_map: after
   // every operation both maps agree on membership and value, and at
   // checkpoints on the full keyset.
   const char *Regex = R"([0-9]{9})";
@@ -504,19 +405,18 @@ TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
         Check(K);
   }
 
-  // Final sweep, through the batch probe path as well.
+  // Final sweep, through batch-hashed images as well.
   for (const std::string &K : Keys)
     Check(K);
   const SynthesizedHash Hash = Map.hasher();
   std::vector<std::string_view> Views(Keys.begin(), Keys.end());
   std::vector<uint64_t> Images(Keys.size());
   Hash.hashBatch(Views.data(), Images.data(), Views.size());
-  std::vector<uint32_t *> Out(Keys.size());
-  Map.findHashedBatch(Images.data(), Out.data(), Images.size());
   for (size_t I = 0; I != Keys.size(); ++I) {
+    const uint32_t *Mine = Map.findHashed(Images[I]);
     const auto Theirs = Mirror.find(Keys[I]);
-    ASSERT_EQ(Out[I] != nullptr, Theirs != Mirror.end()) << Keys[I];
-    if (Out[I] != nullptr)
-      ASSERT_EQ(*Out[I], Theirs->second);
+    ASSERT_EQ(Mine != nullptr, Theirs != Mirror.end()) << Keys[I];
+    if (Mine != nullptr)
+      ASSERT_EQ(*Mine, Theirs->second);
   }
 }

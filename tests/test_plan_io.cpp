@@ -132,6 +132,19 @@ TEST(PlanIoTest, RejectsMalformedInput) {
       "sepe-plan v1\nfamily Pext\nlen 8 8\nflags wat\n",
       "sepe-plan v1\nfamily Pext\nlen 8 8\nwhatkey 1\n",
       "sepe-plan v1\nfamily Pext\nlen 8 8\n", // fixed without steps
+      // A bijective flag the steps do not prove (a 12-bit chunk shifted
+      // to bit 60 wraps), and a true bijection that claims not to be.
+      "sepe-plan v1\nfamily Pext\nlen 8 8\nflags bijective\nfreebits 12\n"
+      "step 0 0xfff 60\n",
+      "sepe-plan v1\nfamily Pext\nlen 8 8\nfreebits 12\nstep 0 0xfff 0\n",
+      // An offset that only fits after narrowing to 32 bits, and a
+      // length past 32 bits.
+      "sepe-plan v1\nfamily OffXor\nlen 8 8\nstep 4294967296 0x1 0\n",
+      "sepe-plan v1\nfamily OffXor\nlen 8 4294967304\nstep 0 0x1 0\n",
+      // A full load past the minimum key length, and a partial load off
+      // offset 0.
+      "sepe-plan v1\nfamily OffXor\nlen 11 11\nstep 4 0x1 0\n",
+      "sepe-plan v1\nfamily Pext\nlen 5 5\nflags partial\nstep 1 0xf 0\n",
   };
   for (const std::string &Text : Bad) {
     Expected<HashPlan> Result = deserializePlan(Text);

@@ -12,6 +12,8 @@
 /// contracts: total, deterministic, position-sensitive, and consistent
 /// with the regex round trip. This is the suite that catches layout
 /// bugs the handpicked formats miss (e.g. mask overflow past 64 bits).
+/// The same generator feeds the plan-inversion property: every image of
+/// a bijective Pext plan rebuilds its key (core/plan.h invertImage).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "core/regex_printer.h"
 #include "core/synthesizer.h"
 #include "keygen/distributions.h"
+#include "keygen/paper_formats.h"
 
 #include <gtest/gtest.h>
 
@@ -152,5 +155,92 @@ TEST_P(RandomFormatTest, PextCollisionFreeOnSamples) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFormatTest,
                          ::testing::Range<uint64_t>(1, 41));
+
+// --- Plan inversion ---------------------------------------------------------
+
+/// Hashes \p N keys of \p Spec with its Pext plan, rebuilds each key
+/// from its image with invertImage, and expects the key back.
+void expectImagesInvert(const FormatSpec &Spec, size_t N, uint64_t Seed,
+                        const SynthesisOptions &Options = {}) {
+  const KeyPattern Pattern = Spec.abstract();
+  Expected<HashPlan> Plan = synthesize(Pattern, HashFamily::Pext, Options);
+  ASSERT_TRUE(Plan);
+  ASSERT_TRUE(Plan->Bijective) << printRegex(Pattern);
+  ASSERT_TRUE(invertible(*Plan, Pattern)) << printRegex(Pattern);
+  const SynthesizedHash Hash(Plan.take());
+  KeyGenerator Gen(Spec, KeyDistribution::Uniform, Seed);
+  std::string Rebuilt(Pattern.maxLength(), '\0');
+  for (size_t I = 0; I != N; ++I) {
+    const std::string Key = Gen.next();
+    invertImage(Hash.plan(), Pattern, Hash(Key), Rebuilt.data());
+    ASSERT_EQ(Rebuilt, Key) << printRegex(Pattern);
+  }
+}
+
+TEST(PlanInverseTest, InvertsEveryBijectivePaperFormat) {
+  size_t Bijective = 0;
+  for (const PaperKey Key : AllPaperKeys) {
+    const FormatSpec Format = paperKeyFormat(Key);
+    Expected<HashPlan> Plan = synthesize(Format.abstract(), HashFamily::Pext);
+    ASSERT_TRUE(Plan);
+    if (!Plan->Bijective)
+      continue;
+    ++Bijective;
+    SCOPED_TRACE(paperKeyName(Key));
+    expectImagesInvert(Format, 5000, 0x1d + static_cast<uint64_t>(Key));
+  }
+  EXPECT_EQ(Bijective, 3u) << "SSN, CPF and IPv4";
+}
+
+TEST(PlanInverseTest, InvertsRandomFormatsUpTo64FreeBits) {
+  size_t Tested = 0;
+  for (uint64_t Seed = 1; Seed != 400; ++Seed) {
+    const FormatSpec Spec = randomFormat(Seed);
+    const unsigned FreeBits = Spec.abstract().freeBitCount();
+    if (!hasFreeBits(Spec) || FreeBits > 64)
+      continue;
+    ++Tested;
+    SCOPED_TRACE(Seed);
+    expectImagesInvert(Spec, 300, Seed ^ 0xbeef);
+  }
+  EXPECT_GE(Tested, 20u) << "too few random formats fit in 64 bits";
+}
+
+TEST(PlanInverseTest, InvertsPartialLoadPlans) {
+  SynthesisOptions Options;
+  Options.AllowShortKeys = true;
+  for (const char *Regex :
+       {R"([0-9]{5})", R"([A-Z]{2}-[0-9]{3})", R"([a-f]{3})",
+        R"([0-9a-z]{7})"}) {
+    Expected<FormatSpec> Spec = parseRegex(Regex);
+    ASSERT_TRUE(Spec) << Regex;
+    SCOPED_TRACE(Regex);
+    expectImagesInvert(*Spec, 2000, 0x5407, Options);
+  }
+}
+
+TEST(PlanInverseTest, InvertibleRequiresThePlansOwnPattern) {
+  const KeyPattern Ssn = paperKeyFormat(PaperKey::SSN).abstract();
+  Expected<HashPlan> Plan = synthesize(Ssn, HashFamily::Pext);
+  ASSERT_TRUE(Plan);
+  EXPECT_TRUE(invertible(*Plan, Ssn));
+  // A wider pattern of the same length has free bits no mask selects.
+  Expected<FormatSpec> Wide = parseRegex(R"([0-9A-Z]\d{2}-\d{2}-\d{4})");
+  ASSERT_TRUE(Wide);
+  EXPECT_FALSE(invertible(*Plan, Wide->abstract()));
+  // Same length and free-bit count, but the dashes moved: the masks
+  // select constant bits and miss free ones.
+  Expected<FormatSpec> Moved = parseRegex(R"(\d{2}-\d{3}-\d{4})");
+  ASSERT_TRUE(Moved);
+  EXPECT_FALSE(invertible(*Plan, Moved->abstract()));
+  // Not bijective: more than 64 free bits, or not Pext at all.
+  const KeyPattern Mac = paperKeyFormat(PaperKey::MAC).abstract();
+  Expected<HashPlan> MacPlan = synthesize(Mac, HashFamily::Pext);
+  ASSERT_TRUE(MacPlan);
+  EXPECT_FALSE(invertible(*MacPlan, Mac));
+  Expected<HashPlan> OffXor = synthesize(Ssn, HashFamily::OffXor);
+  ASSERT_TRUE(OffXor);
+  EXPECT_FALSE(invertible(*OffXor, Ssn));
+}
 
 } // namespace

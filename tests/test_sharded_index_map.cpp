@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <malloc.h>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -306,7 +307,7 @@ TEST(ShardedIndexMapTest, MigratePreservesEveryLiveMapping) {
   const std::vector<std::string> Keys = distinctKeys(SsnRegex, 3000, 0xe);
   for (size_t I = 0; I != Keys.size(); ++I)
     Map.put(Keys[I], I);
-  // Erase a third so the journal holds dead keys the sweep must skip.
+  // Erase a third so the copy must leave dead keys behind.
   for (size_t I = 0; I < Keys.size(); I += 3)
     Map.erase(Keys[I]);
   const size_t LiveBefore = Map.size();
@@ -328,18 +329,80 @@ TEST(ShardedIndexMapTest, MigratePreservesEveryLiveMapping) {
     }
   }
 
-  // Journals compact to the live keyset as a migration side effect.
-  size_t JournalTotal = 0;
-  for (size_t S = 0; S != Map.shardCount(); ++S)
-    JournalTotal += Map.shardStats(S).JournalLen;
-  EXPECT_EQ(JournalTotal, LiveBefore);
-
   // And a second migration on top of the first works the same.
   Map.migrate(bijectivePext(SsnRegex), patternOf(SsnRegex), 2);
   EXPECT_EQ(Map.size(), LiveBefore);
   uint64_t V = 0;
   ASSERT_TRUE(Map.get(Keys[1], V));
   EXPECT_EQ(V, 1u);
+}
+
+TEST(ShardedIndexMapTest, MigrateToAWiderPatternRebuildsKeysFromOldImages) {
+  // The copy inverts each image with the *old* table's plan and pattern.
+  // Here the two plans differ: widening the first position from a digit
+  // to [0-9A-Z] frees four more bits at the bottom of the first chunk,
+  // so every bit above them moves and an inversion through the new plan
+  // would rebuild the wrong keys.
+  const char *WideRegex = R"([0-9A-Z]\d{2}-\d{2}-\d{4})";
+  ShardedIndexMap<uint64_t> Map(bijectivePext(SsnRegex), patternOf(SsnRegex),
+                                /*EpochLabel=*/0, 8);
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 1500, 0x5a);
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Map.put(Keys[I], I);
+
+  const SynthesizedHash WideHash = bijectivePext(WideRegex);
+  ASSERT_NE(WideHash(Keys[0]), bijectivePext(SsnRegex)(Keys[0]));
+  Map.migrate(WideHash, patternOf(WideRegex), /*NewLabel=*/1);
+  EXPECT_EQ(Map.size(), Keys.size());
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Map.get(Keys[I], V)) << Keys[I];
+    ASSERT_EQ(V, I);
+  }
+  // Keys only the wider format admits land beside the migrated ones.
+  const std::vector<std::string> Wide = distinctKeys(WideRegex, 200, 0x5b);
+  for (const std::string &Key : Wide)
+    Map.put(Key, 7);
+  for (const std::string &Key : Wide)
+    EXPECT_TRUE(Map.contains(Key)) << Key;
+}
+
+TEST(ShardedIndexMapTest, ChurnThenMigrateMemoryFollowsLiveSet) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "mallinfo2 does not see the sanitizer allocators";
+#else
+  // Erase+put churn over a fixed live set must leave the heap where it
+  // was: the map holds images and values only, so nothing it keeps
+  // grows with the number of inserts ever made. mallinfo2's hblkhd
+  // counts mmap'd blocks, where a large per-insert vector would live.
+  const auto HeapBytes = [] {
+    const struct mallinfo2 Info = mallinfo2();
+    return static_cast<int64_t>(Info.uordblks + Info.hblkhd);
+  };
+  ShardedIndexMap<uint64_t> Map(bijectivePext(SsnRegex), patternOf(SsnRegex),
+                                /*EpochLabel=*/0, 8);
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 1024, 0x6c);
+  std::vector<uint64_t> Latest(Keys.size());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Map.put(Keys[I], I);
+
+  const int64_t Before = HeapBytes();
+  for (uint64_t Cycle = 0; Cycle != 200000; ++Cycle) {
+    const size_t I = Cycle % Keys.size();
+    ASSERT_TRUE(Map.erase(Keys[I]));
+    ASSERT_TRUE(Map.put(Keys[I], Cycle));
+    Latest[I] = Cycle;
+  }
+  EXPECT_LT(HeapBytes() - Before, 64 * 1024);
+
+  Map.migrate(bijectivePext(SsnRegex), patternOf(SsnRegex), /*NewLabel=*/1);
+  ASSERT_EQ(Map.size(), Keys.size());
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Map.get(Keys[I], V)) << Keys[I];
+    ASSERT_EQ(V, Latest[I]);
+  }
+#endif
 }
 
 TEST(ShardedIndexMapTest, MigrateUnderConcurrentTraffic) {
