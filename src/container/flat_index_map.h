@@ -14,11 +14,12 @@
 ///
 ///   - store only the 64-bit image, never the key string (no string
 ///     compares, no per-node allocation);
-///   - probe SwissTable-style: a separate one-byte control array holds
-///     a 7-bit tag per slot, and a probe inspects sixteen slots at a
-///     time with one SSE2 compare + movemask (a portable bit-twiddling
-///     fallback covers non-SSE2 builds), so a lookup usually touches
-///     one 16-byte control group and at most one slot;
+///   - probe SwissTable-style: separate control bytes, packed eight to
+///     a 64-bit word, hold a 7-bit tag per slot, and a probe inspects
+///     sixteen slots at a time with one SSE2 compare + movemask (a
+///     portable bit-twiddling fallback covers non-SSE2 builds), so a
+///     lookup usually touches one 16-byte control group and at most
+///     one slot;
 ///   - derive both the group index and the tag from one
 ///     Fibonacci-scrambled multiply of the image (the multiply spreads
 ///     images whose entropy sits in arbitrary bit ranges, since the
@@ -32,6 +33,17 @@
 /// and are dropped by the next rehash, which reuses the current
 /// capacity when the live elements still fit.
 ///
+/// Reads can run without the writers' lock. Every mutation is a seqlock
+/// write section (WriteSection): the map's write sequence is odd while
+/// it runs, and it writes control and slot words with relaxed atomic
+/// stores. A reader brackets a relaxed-load probe with readBegin() and
+/// readValidate() and keeps the result only if no section overlapped
+/// it. Readers reach the storage through one atomic pointer to the
+/// live block, and no block is freed while the map lives: a tombstone
+/// sweep rebuilds into a spare block of the same capacity (the old
+/// block becomes the next spare), growth keeps the outgrown blocks, and
+/// all of them stay under 4x the live capacity.
+///
 /// The container refuses construction from a non-bijective plan, since
 /// dropping the key string would otherwise be unsound.
 ///
@@ -43,10 +55,14 @@
 #include "core/executor.h"
 #include "support/telemetry.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -60,14 +76,29 @@ namespace sepe {
 /// key's 7-bit tag (values 0..127), an empty or deleted slot one of the
 /// negative sentinels. Each matcher returns a 16-bit mask with bit I
 /// set when slot I of the group matches. The *Scalar variants are the
-/// always-compiled portable reference; the unsuffixed entry points pick
-/// SSE2 when the build has it. Both are exposed so tests can pin the
-/// vector path against the scalar one on hosts that have both.
+/// always-compiled portable reference; Group picks SSE2 when the build
+/// has it. Both are exposed so tests can pin the vector path against
+/// the scalar one on hosts that have both.
 namespace swiss {
 
 inline constexpr size_t GroupSize = 16;
 inline constexpr int8_t CtrlEmpty = -128;  // 0b10000000
 inline constexpr int8_t CtrlDeleted = -2;  // 0b11111110
+
+/// FlatIndexMap stores control bytes eight to a 64-bit word, byte I of
+/// a word in bits [8I, 8I + 8), so a group is two words and a lock-free
+/// reader loads it with two relaxed word loads.
+inline constexpr uint64_t EmptyWord = 0x8080808080808080ULL;
+
+inline int8_t ctrlByte(uint64_t Word, size_t I) {
+  return static_cast<int8_t>(Word >> (8 * I));
+}
+
+inline uint64_t withCtrlByte(uint64_t Word, size_t I, int8_t C) {
+  const unsigned Shift = static_cast<unsigned>(8 * I);
+  return (Word & ~(uint64_t{0xFF} << Shift)) |
+         (uint64_t{static_cast<uint8_t>(C)} << Shift);
+}
 
 inline uint32_t matchTagScalar(const int8_t *Ctrl, int8_t Tag) {
   uint32_t Mask = 0;
@@ -89,35 +120,51 @@ inline uint32_t matchEmptyOrDeletedScalar(const int8_t *Ctrl) {
   return Mask;
 }
 
+/// One group, loaded once and matched several ways.
+class Group {
+public:
+  /// From the two control words a FlatIndexMap group is stored in,
+  /// combined in registers: spilling them to the stack and reloading
+  /// them as one vector would stall on store forwarding.
+  Group(uint64_t Lo, uint64_t Hi) {
 #if defined(__SSE2__)
-inline uint32_t matchTag(const int8_t *Ctrl, int8_t Tag) {
-  const __m128i Group =
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Ctrl));
-  return static_cast<uint32_t>(
-      _mm_movemask_epi8(_mm_cmpeq_epi8(Group, _mm_set1_epi8(Tag))));
-}
-
-inline uint32_t matchEmpty(const int8_t *Ctrl) {
-  return matchTag(Ctrl, CtrlEmpty);
-}
-
-inline uint32_t matchEmptyOrDeleted(const int8_t *Ctrl) {
-  // movemask collects the sign bits, which is the sentinel test.
-  const __m128i Group =
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(Ctrl));
-  return static_cast<uint32_t>(_mm_movemask_epi8(Group));
-}
+    Bytes = _mm_set_epi64x(static_cast<long long>(Hi),
+                           static_cast<long long>(Lo));
 #else
-inline uint32_t matchTag(const int8_t *Ctrl, int8_t Tag) {
-  return matchTagScalar(Ctrl, Tag);
-}
-inline uint32_t matchEmpty(const int8_t *Ctrl) {
-  return matchEmptyScalar(Ctrl);
-}
-inline uint32_t matchEmptyOrDeleted(const int8_t *Ctrl) {
-  return matchEmptyOrDeletedScalar(Ctrl);
-}
+    for (size_t I = 0; I != GroupSize / 2; ++I) {
+      Bytes[I] = ctrlByte(Lo, I);
+      Bytes[GroupSize / 2 + I] = ctrlByte(Hi, I);
+    }
 #endif
+  }
+
+  uint32_t matchTag(int8_t Tag) const {
+#if defined(__SSE2__)
+    return static_cast<uint32_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(Bytes, _mm_set1_epi8(Tag))));
+#else
+    return matchTagScalar(Bytes, Tag);
+#endif
+  }
+
+  uint32_t matchEmpty() const { return matchTag(CtrlEmpty); }
+
+  uint32_t matchEmptyOrDeleted() const {
+#if defined(__SSE2__)
+    // movemask collects the sign bits, which is the sentinel test.
+    return static_cast<uint32_t>(_mm_movemask_epi8(Bytes));
+#else
+    return matchEmptyOrDeletedScalar(Bytes);
+#endif
+  }
+
+private:
+#if defined(__SSE2__)
+  __m128i Bytes;
+#else
+  int8_t Bytes[GroupSize];
+#endif
+};
 
 } // namespace swiss
 
@@ -155,8 +202,15 @@ inline size_t shardOf(uint64_t Image, unsigned ShardBits) {
 } // namespace probe
 
 /// Open-addressed map from format keys to \p Value, keyed by the image
-/// of a bijective synthesized hash.
+/// of a bijective synthesized hash. \p Value is a word: a lock-free
+/// reader copies it with one relaxed load.
 template <typename Value> class FlatIndexMap {
+  static_assert(std::is_trivially_copyable_v<Value> &&
+                    (sizeof(Value) == 4 || sizeof(Value) == 8),
+                "lock-free readers copy a value with one word load");
+
+  struct Block;
+
 public:
   /// \p Hash must carry a plan with Bijective == true.
   explicit FlatIndexMap(SynthesizedHash Hash, size_t InitialCapacity = 16)
@@ -167,13 +221,15 @@ public:
     size_t Capacity = 16;
     while (Capacity < InitialCapacity * 2)
       Capacity *= 2;
-    Ctrl.assign(Capacity, swiss::CtrlEmpty);
-    Slots.resize(Capacity);
+    Live.store(allocateBlock(Capacity), std::memory_order_release);
   }
+
+  FlatIndexMap(const FlatIndexMap &) = delete;
+  FlatIndexMap &operator=(const FlatIndexMap &) = delete;
 
   size_t size() const { return Elements; }
   bool empty() const { return Elements == 0; }
-  size_t capacity() const { return Slots.size(); }
+  size_t capacity() const { return live().Capacity; }
 
   /// The bijective hash this map is keyed by; lets callers batch-hash
   /// key blocks (SynthesizedHash::hashBatch) and then use the *Hashed
@@ -189,8 +245,25 @@ public:
   /// Inserts by precomputed image (== hasher()(Key)); since the plan is
   /// a bijection the image *is* the key, so no key text is needed.
   bool insertHashed(uint64_t Image, Value V) {
-    maybeGrow();
-    return insertImage(Image, std::move(V));
+    Block &B = live();
+    size_t Scanned = 0;
+    size_t Free = NotFound;
+    const bool Present = findSlot(B, Image, Scanned, &Free) != NotFound;
+    SEPE_RECORD("flat_index_map.probe_groups.insert", Scanned);
+    if (Present)
+      return false;
+    WriteSection Section(Seq);
+    // Grow (or sweep tombstones at the same capacity) before full plus
+    // deleted slots pass 7/8 of capacity — the bound that guarantees
+    // every probe chain reaches an empty slot. Only then does the slot
+    // the probe found move, so only then does the insert probe again.
+    if ((Elements + Tombstones + 1) * 8 >= B.Capacity * 7) {
+      rehash(Elements + 1);
+      place(live(), Image, V);
+    } else {
+      store(B, Free, Image, V);
+    }
+    return true;
   }
 
   /// Inserts \p N (key, value) pairs, hashing the keys through the
@@ -208,7 +281,9 @@ public:
     return Inserted;
   }
 
-  /// Pointer to the value for \p Key, or nullptr.
+  /// Pointer to the value for \p Key, or nullptr. Writing through it is
+  /// not a write section: only callers that also exclude lock-free
+  /// readers may do so.
   Value *find(std::string_view Key) { return findImage(Hash(Key)); }
   const Value *find(std::string_view Key) const {
     return const_cast<FlatIndexMap *>(this)->findImage(Hash(Key));
@@ -234,46 +309,32 @@ public:
   /// orphaned); otherwise it becomes a tombstone that the next rehash
   /// sweeps out.
   bool eraseHashed(uint64_t Image) {
-    const uint64_t Scrambled = scramble(Image);
-    const int8_t Tag = tagOf(Scrambled);
-    const size_t GroupMask = groupCount() - 1;
-    size_t G = homeGroup(Scrambled);
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
-    while (true) {
-      const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
-      uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
-      while (Match != 0) {
-        const size_t S =
-            G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
-        if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.erase", ScannedGroups);
-          if (swiss::matchEmpty(GroupCtrl) != 0) {
-            Ctrl[S] = swiss::CtrlEmpty;
-          } else {
-            Ctrl[S] = swiss::CtrlDeleted;
-            ++Tombstones;
-            SEPE_COUNT("flat_index_map.tombstones.created");
-          }
-          --Elements;
-          return true;
-        }
-        Match &= Match - 1;
-      }
-      if (swiss::matchEmpty(GroupCtrl) != 0) {
-        SEPE_RECORD("flat_index_map.probe_groups.erase", ScannedGroups);
-        return false;
-      }
-      G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
+    Block &B = live();
+    size_t Scanned = 0;
+    const size_t S = findSlot(B, Image, Scanned);
+    SEPE_RECORD("flat_index_map.probe_groups.erase", Scanned);
+    if (S == NotFound)
+      return false;
+    WriteSection Section(Seq);
+    if (group(B, S / swiss::GroupSize).matchEmpty() != 0) {
+      setCtrl(B, S, swiss::CtrlEmpty);
+    } else {
+      setCtrl(B, S, swiss::CtrlDeleted);
+      ++Tombstones;
+      SEPE_COUNT("flat_index_map.tombstones.created");
     }
+    --Elements;
+    return true;
   }
 
   /// Rehashes now if inserting up to \p ExpectedElements total elements
   /// would otherwise trigger a growth mid-stream; the bulk-load
   /// companion to insertBatch.
   void reserve(size_t ExpectedElements) {
-    if ((ExpectedElements + Tombstones) * 8 >= capacity() * 7)
-      rehash(ExpectedElements);
+    if ((ExpectedElements + Tombstones) * 8 < capacity() * 7)
+      return;
+    WriteSection Section(Seq);
+    rehash(ExpectedElements);
   }
 
   /// Longest probe sequence observed for the current contents, in
@@ -281,14 +342,15 @@ public:
   /// the specialized layout is supposed to keep small. 1 means every
   /// key sits in its home group.
   size_t maxProbeLength() const {
-    const size_t GroupMask = groupCount() - 1;
+    const Block &B = live();
+    const size_t Groups = B.groupCount();
     size_t Max = 0;
-    for (size_t S = 0; S != Slots.size(); ++S) {
-      if (Ctrl[S] < 0)
+    for (size_t S = 0; S != B.Capacity; ++S) {
+      if (ctrlAt(B, S) < 0)
         continue;
-      const size_t Home = homeGroup(scramble(Slots[S].Image));
+      const size_t Home = homeGroup(scramble(B.Slots[S].Image), Groups);
       const size_t G = S / swiss::GroupSize;
-      const size_t Probe = (G + groupCount() - Home) & GroupMask;
+      const size_t Probe = (G + Groups - Home) & (Groups - 1);
       Max = std::max(Max, Probe + 1);
     }
     return Max;
@@ -303,20 +365,127 @@ public:
   /// sharded migration copies a sealed shard with (it rebuilds each key
   /// from its image: core/plan.h invertImage).
   template <typename Fn> void forEachEntry(Fn &&F) const {
-    for (size_t S = 0; S != Slots.size(); ++S)
-      if (Ctrl[S] >= 0)
-        F(Slots[S].Image, Slots[S].V);
+    const Block &B = live();
+    for (size_t S = 0; S != B.Capacity; ++S)
+      if (ctrlAt(B, S) >= 0)
+        F(B.Slots[S].Image, B.Slots[S].V);
+  }
+
+  /// Lock-free reads, for callers whose writers hold a lock of their own
+  /// (ShardedIndexMap): open a Read with readBegin(), probe through it
+  /// with probeRelaxed() and keep the results only if readValidate()
+  /// then holds; on failure retry, or fall back to the writers' lock.
+  /// A Read pins the write sequence it began at and the block it
+  /// probes, so a run of probes loads the block pointer once.
+  class Read {
+  public:
+    /// A mutation was in progress: this read cannot validate.
+    bool busy() const { return (Begin & 1) != 0; }
+
+  private:
+    friend class FlatIndexMap;
+    Read(uint64_t Begin, const Block *B) : Begin(Begin), B(B) {}
+    uint64_t Begin;
+    const Block *B;
+  };
+
+  Read readBegin() const {
+    const uint64_t Begin = Seq.load(std::memory_order_acquire);
+    return Read(Begin, Live.load(std::memory_order_acquire));
+  }
+
+  /// Probes for \p Image with relaxed word loads only. Under a
+  /// concurrent mutation the answer may be torn, but the probe stays
+  /// inside the read's block and scans at most its group count.
+  bool probeRelaxed(const Read &R, uint64_t Image, Value &Out) const {
+    size_t Scanned = 0;
+    const size_t S = findSlot(*R.B, Image, Scanned);
+    if (S == NotFound)
+      return false;
+    Out = std::atomic_ref<Value>(R.B->Slots[S].V)
+              .load(std::memory_order_relaxed);
+    return true;
+  }
+
+  /// True when no mutation overlapped \p R: its probes saw one
+  /// consistent state.
+  bool readValidate(const Read &R) const {
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return !R.busy() && Seq.load(std::memory_order_relaxed) == R.Begin;
   }
 
 private:
   /// Keys per hashBatch call in insertBatch: big enough to amortize the
   /// dispatch, small enough to stay on the stack and in L1.
   static constexpr size_t BatchBlock = 256;
+  static constexpr size_t NotFound = SIZE_MAX;
 
   struct Slot {
     uint64_t Image = 0;
-    Value V{};
+    alignas(std::atomic_ref<Value>::required_alignment) Value V{};
   };
+
+  /// One capacity's storage: the control bytes, packed into words, and
+  /// the slots. Readers reach it through Live. Every probe reads this
+  /// header, so it owns its cache line: no written data shares it.
+  struct alignas(64) Block {
+    explicit Block(size_t Capacity)
+        : Capacity(Capacity), Ctrl(new uint64_t[Capacity / 8]),
+          Slots(new Slot[Capacity]) {
+      std::fill_n(Ctrl.get(), Capacity / 8, swiss::EmptyWord);
+    }
+    size_t groupCount() const { return Capacity / swiss::GroupSize; }
+
+    const size_t Capacity;
+    const std::unique_ptr<uint64_t[]> Ctrl;
+    const std::unique_ptr<Slot[]> Slots;
+  };
+
+  /// One mutation, bracketed for lock-free readers (the seqlock writer
+  /// of Boehm, "Can Seqlocks Get Along with Programming Language Memory
+  /// Models?"): the sequence goes odd, a release fence keeps the
+  /// mutation's relaxed stores after it, and the sequence goes even
+  /// again with a release store. The caller serializes writers.
+  class WriteSection {
+  public:
+    explicit WriteSection(std::atomic<uint64_t> &Seq)
+        : Seq(Seq), Begin(Seq.load(std::memory_order_relaxed)) {
+      Seq.store(Begin + 1, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_release);
+    }
+    ~WriteSection() { Seq.store(Begin + 2, std::memory_order_release); }
+    WriteSection(const WriteSection &) = delete;
+    WriteSection &operator=(const WriteSection &) = delete;
+
+  private:
+    std::atomic<uint64_t> &Seq;
+    const uint64_t Begin;
+  };
+
+  // Every word a lock-free reader may load is written with a relaxed
+  // atomic store, so a reader racing a write section reads stale or
+  // new words, never a torn one.
+  static uint64_t loadWord(const uint64_t &W) {
+    return std::atomic_ref<uint64_t>(const_cast<uint64_t &>(W))
+        .load(std::memory_order_relaxed);
+  }
+  static void storeWord(uint64_t &W, uint64_t V) {
+    std::atomic_ref<uint64_t>(W).store(V, std::memory_order_relaxed);
+  }
+  static void storeValue(Value &Dst, Value V) {
+    std::atomic_ref<Value>(Dst).store(V, std::memory_order_relaxed);
+  }
+
+  static swiss::Group group(const Block &B, size_t G) {
+    return swiss::Group(loadWord(B.Ctrl[2 * G]), loadWord(B.Ctrl[2 * G + 1]));
+  }
+  static int8_t ctrlAt(const Block &B, size_t S) {
+    return swiss::ctrlByte(loadWord(B.Ctrl[S / 8]), S % 8);
+  }
+  static void setCtrl(Block &B, size_t S, int8_t C) {
+    storeWord(B.Ctrl[S / 8],
+              swiss::withCtrlByte(loadWord(B.Ctrl[S / 8]), S % 8, C));
+  }
 
   static uint64_t scramble(uint64_t Image) { return probe::scramble(Image); }
 
@@ -324,124 +493,147 @@ private:
     return static_cast<int8_t>(Scrambled & 0x7F);
   }
 
-  size_t groupCount() const { return Slots.size() / swiss::GroupSize; }
-
-  size_t homeGroup(uint64_t Scrambled) const {
-    const unsigned Log2 =
-        static_cast<unsigned>(std::countr_zero(groupCount()));
+  static size_t homeGroup(uint64_t Scrambled, size_t Groups) {
+    const unsigned Log2 = static_cast<unsigned>(std::countr_zero(Groups));
     // A one-group table would need a shift by 64 (UB); its answer is 0.
     return Log2 == 0 ? 0 : static_cast<size_t>(Scrambled >> (64 - Log2));
   }
 
-  /// Grows (or sweeps tombstones at the same capacity) when the next
-  /// insert would push full + deleted slots past 7/8 of capacity —
-  /// the bound that guarantees every probe chain reaches an empty slot.
-  void maybeGrow() {
-    if ((Elements + Tombstones + 1) * 8 < capacity() * 7)
-      return;
-    rehash(Elements + 1);
+  /// The live block, for writers and for readers that exclude them.
+  Block &live() const { return *Live.load(std::memory_order_relaxed); }
+
+  Block *allocateBlock(size_t Capacity) {
+    Blocks.push_back(std::make_unique<Block>(Capacity));
+    return Blocks.back().get();
   }
 
+  /// Slot index of \p Image in \p B, or NotFound; \p Scanned receives
+  /// the groups inspected, and a non-null \p Free the first reusable
+  /// slot (tombstones included) on the probe path, where an insert of
+  /// the absent image goes. Scans at most the group count, so a torn
+  /// lock-free snapshot cannot loop forever; a consistent one always
+  /// stops sooner, at a group with an empty slot (the load bound keeps
+  /// one).
+  static size_t findSlot(const Block &B, uint64_t Image, size_t &Scanned,
+                         size_t *Free = nullptr) {
+    const uint64_t Scrambled = scramble(Image);
+    const int8_t Tag = tagOf(Scrambled);
+    const size_t Groups = B.groupCount();
+    size_t G = homeGroup(Scrambled, Groups);
+    for (Scanned = 1; Scanned <= Groups; ++Scanned) {
+      const swiss::Group Ctrl = group(B, G);
+      for (uint32_t Match = Ctrl.matchTag(Tag); Match != 0;
+           Match &= Match - 1) {
+        const size_t S =
+            G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
+        if (loadWord(B.Slots[S].Image) == Image)
+          return S;
+      }
+      if (Free != nullptr && *Free == NotFound)
+        if (const uint32_t Avail = Ctrl.matchEmptyOrDeleted())
+          *Free = G * swiss::GroupSize +
+                  static_cast<size_t>(std::countr_zero(Avail));
+      if (Ctrl.matchEmpty() != 0)
+        return NotFound;
+      G = (G + 1) & (Groups - 1);
+    }
+    return NotFound;
+  }
+
+  /// Rebuilds the live contents into another block. No block is freed
+  /// while the map lives, since a lock-free reader may still be probing
+  /// any block that was ever live: a same-capacity rehash (the
+  /// tombstone sweep) rebuilds into this capacity's spare block and
+  /// keeps the old live block as the next spare, and growth keeps the
+  /// outgrown blocks. The live block, its spare and the outgrown blocks
+  /// (at most two per smaller power of two) stay under 4x the live
+  /// capacity.
   void rehash(size_t MinElements) {
     size_t NewCapacity = 16;
     while (MinElements * 8 >= NewCapacity * 7)
       NewCapacity *= 2;
     // Never shrink; when the live elements still fit the current
     // capacity this is the tombstone-dropping same-size rehash.
-    NewCapacity = std::max(NewCapacity, capacity());
-    if (NewCapacity == capacity())
+    Block &Old = live();
+    NewCapacity = std::max(NewCapacity, Old.Capacity);
+    Block *Next = nullptr;
+    if (NewCapacity == Old.Capacity) {
       SEPE_COUNT("flat_index_map.rehash.tombstone_sweep");
-    else
+      if (Spare == nullptr) {
+        Next = allocateBlock(NewCapacity);
+      } else {
+        Next = Spare;
+        for (size_t W = 0; W != NewCapacity / 8; ++W)
+          storeWord(Next->Ctrl[W], swiss::EmptyWord);
+      }
+      Spare = &Old;
+    } else {
       SEPE_COUNT("flat_index_map.rehash.grow");
-    std::vector<int8_t> OldCtrl = std::move(Ctrl);
-    std::vector<Slot> OldSlots = std::move(Slots);
-    Ctrl.assign(NewCapacity, swiss::CtrlEmpty);
-    Slots.clear();
-    Slots.resize(NewCapacity);
+      Next = allocateBlock(NewCapacity);
+      Spare = nullptr;
+    }
+    Live.store(Next, std::memory_order_release);
     Elements = 0;
     Tombstones = 0;
-    for (size_t S = 0; S != OldSlots.size(); ++S)
-      if (OldCtrl[S] >= 0)
-        insertImage(OldSlots[S].Image, std::move(OldSlots[S].V));
+    for (size_t S = 0; S != Old.Capacity; ++S)
+      if (ctrlAt(Old, S) >= 0)
+        place(*Next, Old.Slots[S].Image, Old.Slots[S].V);
   }
 
-  bool insertImage(uint64_t Image, Value V) {
-    const uint64_t Scrambled = scramble(Image);
-    const int8_t Tag = tagOf(Scrambled);
-    const size_t GroupMask = groupCount() - 1;
-    size_t G = homeGroup(Scrambled);
-    size_t Candidate = SIZE_MAX;
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
-    while (true) {
-      const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
-      uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
-      while (Match != 0) {
-        const size_t S =
-            G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
-        if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.insert", ScannedGroups);
-          return false;
-        }
-        Match &= Match - 1;
-      }
-      // Remember the first reusable slot (tombstones included) but keep
-      // probing until a group with an empty slot proves the key absent.
-      if (Candidate == SIZE_MAX) {
-        const uint32_t Avail = swiss::matchEmptyOrDeleted(GroupCtrl);
-        if (Avail != 0)
-          Candidate = G * swiss::GroupSize +
-                      static_cast<size_t>(std::countr_zero(Avail));
-      }
-      if (swiss::matchEmpty(GroupCtrl) != 0)
-        break;
-      G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
-    }
-    SEPE_RECORD("flat_index_map.probe_groups.insert", ScannedGroups);
-    assert(Candidate != SIZE_MAX && "load bound guarantees a free slot");
-    if (Ctrl[Candidate] == swiss::CtrlDeleted)
+  /// Stores the absent \p Image in the first reusable slot (tombstones
+  /// included) on its probe path in \p B; the load bound guarantees
+  /// one. The caller holds a write section.
+  void place(Block &B, uint64_t Image, Value V) {
+    const size_t Groups = B.groupCount();
+    size_t G = homeGroup(scramble(Image), Groups);
+    uint32_t Avail = 0;
+    while ((Avail = group(B, G).matchEmptyOrDeleted()) == 0)
+      G = (G + 1) & (Groups - 1);
+    const size_t S =
+        G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Avail));
+    store(B, S, Image, V);
+  }
+
+  /// Stores (\p Image, \p V) in reusable slot \p S of \p B. The caller
+  /// holds a write section.
+  void store(Block &B, size_t S, uint64_t Image, Value V) {
+    assert(S != NotFound && "the load bound guarantees a reusable slot");
+    if (ctrlAt(B, S) == swiss::CtrlDeleted)
       --Tombstones;
-    Ctrl[Candidate] = Tag;
-    Slots[Candidate].Image = Image;
-    Slots[Candidate].V = std::move(V);
+    setCtrl(B, S, tagOf(scramble(Image)));
+    storeWord(B.Slots[S].Image, Image);
+    storeValue(B.Slots[S].V, V);
     ++Elements;
-    return true;
   }
 
   Value *findImage(uint64_t Image) {
-    const uint64_t Scrambled = scramble(Image);
-    const int8_t Tag = tagOf(Scrambled);
-    const size_t GroupMask = groupCount() - 1;
-    size_t G = homeGroup(Scrambled);
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
-    while (true) {
-      const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
-      uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
-      while (Match != 0) {
-        const size_t S =
-            G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
-        if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.find", ScannedGroups);
-          SEPE_COUNT("flat_index_map.find.hit");
-          return &Slots[S].V;
-        }
-        Match &= Match - 1;
-      }
-      if (swiss::matchEmpty(GroupCtrl) != 0) {
-        SEPE_RECORD("flat_index_map.probe_groups.find", ScannedGroups);
-        SEPE_COUNT("flat_index_map.find.miss");
-        return nullptr;
-      }
-      G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
+    Block &B = live();
+    size_t Scanned = 0;
+    const size_t S = findSlot(B, Image, Scanned);
+    SEPE_RECORD("flat_index_map.probe_groups.find", Scanned);
+    if (S == NotFound) {
+      SEPE_COUNT("flat_index_map.find.miss");
+      return nullptr;
     }
+    SEPE_COUNT("flat_index_map.find.hit");
+    return &B.Slots[S].V;
   }
 
-  SynthesizedHash Hash;
-  std::vector<int8_t> Ctrl;
-  std::vector<Slot> Slots;
+  // The fields every probe or mutation touches come first and share a
+  // cache line, so a writer dirties one line of the map object and a
+  // lock-free reader loads one.
+  /// The block readers probe, and the write sequence that validates
+  /// their probes (odd while a mutation is in progress).
+  std::atomic<Block *> Live{nullptr};
+  std::atomic<uint64_t> Seq{0};
   size_t Elements = 0;
   size_t Tombstones = 0;
+  /// The previous live block of the current capacity, reused by the
+  /// next tombstone sweep; null until the first sweep at a capacity.
+  Block *Spare = nullptr;
+  /// Every block ever allocated; freed with the map.
+  std::vector<std::unique_ptr<Block>> Blocks;
+  SynthesizedHash Hash;
 };
 
 } // namespace sepe

@@ -12,12 +12,22 @@
 /// a *different* odd multiplier than the in-shard group mapping, so
 /// shard index and home group stay decorrelated).
 ///
+/// Writers take the shard's exclusive lock; readers take no lock and
+/// write nothing shared. Every FlatIndexMap mutation is a seqlock write
+/// section, so a reader probes with relaxed loads and keeps the result
+/// only if the shard's write sequence was even and unchanged across
+/// the probe. After ReadAttempts failed validations it takes the
+/// shard's read lock, so a reader never starves behind a busy writer.
+/// A shard never frees a block a reader may be probing
+/// (FlatIndexMap::rehash bounds what it keeps).
+///
 /// Batch entry points hash a 64-key chunk densely first (one
 /// SynthesizedHash::hashBatch call, so the AVX2 wide kernels run at
 /// full width), then counting-sort the chunk's indices by shard and
-/// probe each shard's dense group under a single lock acquisition —
-/// lock traffic amortizes over the group instead of paying one
-/// acquisition per key.
+/// probe each shard's dense group as one lock-free read validated once
+/// for the whole group (a write lock for writes) — the validation, or
+/// the fallback lock, amortizes over the group instead of being paid
+/// per key.
 ///
 /// Hot swap across a re-synthesis is epoch-based, RCU-style: all state
 /// a reader consults (hash, guard pattern, shard array, epoch number)
@@ -125,9 +135,10 @@ inline void partitionChunk(const uint64_t *Images, size_t N,
 enum class ProbeResult { Hit, Miss, NotAdmitted, Stale };
 
 /// Concurrent sharded map from format keys to \p Value. Each shard is
-/// a FlatIndexMap (so the plan must be bijective); any number of
-/// threads may call any entry point concurrently, with at most one
-/// migrate() in flight (further calls serialize).
+/// a FlatIndexMap (so the plan must be bijective, and \p Value a
+/// trivially copyable 4- or 8-byte word its readers copy lock-free);
+/// any number of threads may call any entry point concurrently, with
+/// at most one migrate() in flight (further calls serialize).
 template <typename Value> class ShardedIndexMap {
 public:
   /// Per-shard health snapshot for telemetry/reporting.
@@ -205,11 +216,13 @@ public:
 
   /// Per-shard lock-contention counters: how many read/write lock
   /// acquisitions the shard saw and how many of them had to wait
-  /// (try-lock failed first). Counted relaxed by the acquire helpers —
-  /// the numbers are measurements, they order nothing. The counters
-  /// live on the *active* generation's shards: a migration publishes
-  /// fresh shards, so each epoch's numbers describe lock pressure
-  /// since that epoch was published.
+  /// (try-lock failed first). Reads lock only to fall back after failed
+  /// lock-free attempts, so the shared counts are locked fallbacks, not
+  /// reads. Counted relaxed by the acquire helpers — the numbers are
+  /// measurements, they order nothing. The counters live on the
+  /// *active* generation's shards: a migration publishes fresh shards,
+  /// so each epoch's numbers describe lock pressure since that epoch
+  /// was published.
   struct ShardContention {
     uint64_t SharedAcquires = 0;
     uint64_t SharedContended = 0;
@@ -283,17 +296,13 @@ public:
   }
 
   /// Copies the value for \p Key into \p Out; false when absent. A
-  /// copy, not a pointer: a pointer into a shard would dangle the
-  /// moment the lock drops under concurrent writers.
+  /// copy, not a pointer: a pointer into a shard would dangle as soon
+  /// as a concurrent writer moved the entry.
   bool get(std::string_view Key, Value &Out) const {
     const Table *T = active();
     const uint64_t Image = T->Hash(Key);
-    const Shard &S = T->shardFor(Image);
-    std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
-                                             std::adopt_lock);
-    if (const Value *V = S.Map.findHashed(Image)) {
+    if (lookup(T->shardFor(Image), Image, Out)) {
       SEPE_COUNT("sharded_index_map.get.hit");
-      Out = *V;
       return true;
     }
     SEPE_COUNT("sharded_index_map.get.miss");
@@ -308,8 +317,8 @@ public:
   /// Batch lookup: Found[I] = 1 and Out[I] = value when Keys[I] is
   /// present, else Found[I] = 0 (Out[I] untouched). Returns the hit
   /// count. Hashes each 64-key chunk densely (AVX2 batch kernel), then
-  /// partitions by shard and probes every shard's group under one read
-  /// lock.
+  /// partitions by shard and probes every shard's group as one
+  /// validated lock-free read (probeRun).
   size_t getBatch(const std::string_view *Keys, Value *Out, uint8_t *Found,
                   size_t N) const {
     const Table *T = active();
@@ -321,23 +330,10 @@ public:
       const size_t Count = std::min(shard::ChunkSize, N - Base);
       T->Hash.hashBatch(Keys + Base, Images, Count);
       shard::partitionChunk(Images, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S) {
-        if (Offsets[S] == Offsets[S + 1])
-          continue;
-        const Shard &Sh = *T->Shards[S];
-        std::shared_lock<std::shared_mutex> Lock(acquireShared(Sh),
-                                                 std::adopt_lock);
-        for (uint32_t I = Offsets[S]; I != Offsets[S + 1]; ++I) {
-          const size_t K = Base + Order[I];
-          if (const Value *V = Sh.Map.findHashed(Images[Order[I]])) {
-            Out[K] = *V;
-            Found[K] = 1;
-            ++Hits;
-          } else {
-            Found[K] = 0;
-          }
-        }
-      }
+      for (size_t S = 0; S != shardCount(); ++S)
+        if (Offsets[S] != Offsets[S + 1])
+          Hits += probeRun(*T->Shards[S], Images, Order, Offsets[S],
+                           Offsets[S + 1], Out + Base, Found + Base);
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
     SEPE_COUNT_N("sharded_index_map.get.miss", N - Hits);
@@ -387,12 +383,8 @@ public:
       SEPE_COUNT("sharded_index_map.stale_epoch");
       return ProbeResult::Stale;
     }
-    const Shard &S = T->shardFor(Image);
-    std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
-                                             std::adopt_lock);
-    if (const Value *V = S.Map.findHashed(Image)) {
+    if (lookup(T->shardFor(Image), Image, Out)) {
       SEPE_COUNT("sharded_index_map.get.hit");
-      Out = *V;
       return ProbeResult::Hit;
     }
     SEPE_COUNT("sharded_index_map.get.miss");
@@ -450,23 +442,10 @@ public:
     for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
       const size_t Count = std::min(shard::ChunkSize, N - Base);
       shard::partitionChunk(Images + Base, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S) {
-        if (Offsets[S] == Offsets[S + 1])
-          continue;
-        const Shard &Sh = *T->Shards[S];
-        std::shared_lock<std::shared_mutex> Lock(acquireShared(Sh),
-                                                 std::adopt_lock);
-        for (uint32_t I = Offsets[S]; I != Offsets[S + 1]; ++I) {
-          const size_t K = Base + Order[I];
-          if (const Value *V = Sh.Map.findHashed(Images[K])) {
-            Out[K] = *V;
-            Found[K] = 1;
-            ++Hits;
-          } else {
-            Found[K] = 0;
-          }
-        }
-      }
+      for (size_t S = 0; S != shardCount(); ++S)
+        if (Offsets[S] != Offsets[S + 1])
+          Hits += probeRun(*T->Shards[S], Images + Base, Order, Offsets[S],
+                           Offsets[S + 1], Out + Base, Found + Base);
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
     SEPE_COUNT_N("sharded_index_map.get.miss", N - Hits);
@@ -518,14 +497,8 @@ public:
       return ProbeResult::NotAdmitted;
     }
     const uint64_t Image = T->Hash(Key);
-    const Shard &S = T->shardFor(Image);
-    std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
-                                             std::adopt_lock);
-    if (const Value *V = S.Map.findHashed(Image)) {
-      Out = *V;
-      return ProbeResult::Hit;
-    }
-    return ProbeResult::Miss;
+    return lookup(T->shardFor(Image), Image, Out) ? ProbeResult::Hit
+                                                  : ProbeResult::Miss;
   }
 
   /// Guarded insert: false when the key is not admitted by the active
@@ -599,20 +572,26 @@ public:
   }
 
 private:
-  /// One shard: an independent FlatIndexMap behind a shared_mutex.
-  /// Cache-line aligned so two shards' mutexes never share a line.
+  /// One shard: an independent FlatIndexMap behind a shared_mutex that
+  /// writers and fallback readers take. Cache-line aligned so two
+  /// shards' mutexes never share a line.
   struct alignas(64) Shard {
     explicit Shard(const SynthesizedHash &Hash, size_t InitialCapacity)
         : Map(Hash, InitialCapacity) {}
+    // Member order is a cache-line layout: a writer dirties the line of
+    // Mutex and UniqueAcquires and the map's leading line (its write
+    // sequence and counts), which is the one line a lock-free reader
+    // loads; the rarely moved counters stay off both.
     mutable std::shared_mutex Mutex;
     /// Per-shard lock pressure, counted by the acquire helpers
     /// (relaxed — the counts order nothing, they are measurements).
-    /// Mutable for the same reason Mutex is: read paths count too.
+    /// Mutable for the same reason Mutex is: locked read fallbacks
+    /// count too.
+    mutable std::atomic<uint64_t> UniqueAcquires{0};
+    FlatIndexMap<Value> Map;
+    mutable std::atomic<uint64_t> UniqueContended{0};
     mutable std::atomic<uint64_t> SharedAcquires{0};
     mutable std::atomic<uint64_t> SharedContended{0};
-    mutable std::atomic<uint64_t> UniqueAcquires{0};
-    mutable std::atomic<uint64_t> UniqueContended{0};
-    FlatIndexMap<Value> Map;
     /// True once a migration has copied (or is copying) this shard;
     /// writers must replay their mutation against Successor. Guarded
     /// by Mutex.
@@ -650,6 +629,54 @@ private:
 
   const Table *active() const { return Active.load(std::memory_order_acquire); }
   Table *activeMutable() { return Active.load(std::memory_order_acquire); }
+
+  /// Validated lock-free probes a reader tries before it takes the
+  /// shard's read lock; each fails only if a write section overlapped.
+  static constexpr unsigned ReadAttempts = 4;
+
+  /// Copies \p Image's value in \p S into \p Out; false when absent.
+  /// A run of one key (probeRun).
+  static bool lookup(const Shard &S, uint64_t Image, Value &Out) {
+    const uint16_t Only = 0;
+    uint8_t Found = 0;
+    return probeRun(S, &Image, &Only, 0, 1, &Out, &Found) != 0;
+  }
+
+  /// Probes one shard's run of a partitioned chunk: Images[Order[I]]
+  /// for I in [Begin, End), results to Out/Found[Order[I]] (Out is
+  /// untouched for a miss). The whole run is one lock-free read,
+  /// validated once. After ReadAttempts failed validations the read
+  /// runs once more under the shard's read lock, which excludes
+  /// writers, so that pass always validates. Returns the hits.
+  static size_t probeRun(const Shard &S, const uint64_t *Images,
+                         const uint16_t *Order, uint32_t Begin, uint32_t End,
+                         Value *Out, uint8_t *Found) {
+    Value Values[shard::ChunkSize];
+    bool Hit[shard::ChunkSize];
+    std::shared_lock<std::shared_mutex> Lock;
+    for (unsigned Attempt = 0;; ++Attempt) {
+      if (Attempt == ReadAttempts)
+        Lock = std::shared_lock<std::shared_mutex>(acquireShared(S),
+                                                   std::adopt_lock);
+      assert(Attempt <= ReadAttempts && "the read lock excludes writers");
+      const auto Read = S.Map.readBegin();
+      if (Read.busy())
+        continue;
+      for (uint32_t I = Begin; I != End; ++I)
+        Hit[I] = S.Map.probeRelaxed(Read, Images[Order[I]], Values[I]);
+      if (S.Map.readValidate(Read))
+        break;
+    }
+    size_t Hits = 0;
+    for (uint32_t I = Begin; I != End; ++I) {
+      Found[Order[I]] = Hit[I] ? 1 : 0;
+      if (Hit[I]) {
+        Out[Order[I]] = Values[I];
+        ++Hits;
+      }
+    }
+    return Hits;
+  }
 
   /// try-lock-first acquisition so contended acquisitions are counted
   /// — globally in telemetry and per shard in the Shard's own relaxed

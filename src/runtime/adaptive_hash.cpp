@@ -127,13 +127,13 @@ uint64_t AdaptiveHash::operator()(std::string_view Key) const {
   if (G->Fast.valid() && G->Pattern.matches(Key)) {
     const uint64_t H = G->Fast(Key);
     maybeSampleInFormat(Key);
-    if (Detector.observe(1, 0) == DriftDetector::Window::Tripped)
+    if (Detector.observeClean() == DriftDetector::Window::Tripped)
       onTripped();
     return H;
   }
   SEPE_COUNT("adaptive.guard.miss_keys");
   Sampler.offer(Key);
-  if (Detector.observe(1, 1) == DriftDetector::Window::Tripped)
+  if (Detector.observeMiss() == DriftDetector::Window::Tripped)
     onTripped();
   return fallbackHash(Key);
 }
@@ -179,13 +179,13 @@ AdaptiveHash::Routed AdaptiveHash::route(std::string_view Key) const {
   if (G->Fast.valid() && G->Pattern.matches(Key)) {
     const uint64_t H = G->Fast(Key);
     maybeSampleInFormat(Key);
-    if (Detector.observe(1, 0) == DriftDetector::Window::Tripped)
+    if (Detector.observeClean() == DriftDetector::Window::Tripped)
       onTripped();
     return {H, G->Epoch, true};
   }
   SEPE_COUNT("adaptive.guard.miss_keys");
   Sampler.offer(Key);
-  if (Detector.observe(1, 1) == DriftDetector::Window::Tripped)
+  if (Detector.observeMiss() == DriftDetector::Window::Tripped)
     onTripped();
   return {fallbackHash(Key), G->Epoch, false};
 }

@@ -365,8 +365,12 @@ void telemetry::detail::writeRing(const char *Name, uint64_t TimeNs,
     }
   }
 
+  // Seqlock write section: invalidate the slot, then a release fence so
+  // no payload store below can become visible before the invalidation
+  // (a release *store* of Seq would order only what precedes it).
   Slot &S = Ring.Slots[Pos & Ring.Mask];
-  S.Seq.store(0, std::memory_order_release);
+  S.Seq.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   S.TimeNs.store(TimeNs, std::memory_order_relaxed);
   S.DurNs.store(DurNs, std::memory_order_relaxed);
   S.Gen.store(Gen, std::memory_order_relaxed);

@@ -257,6 +257,9 @@ int main(int Argc, char **Argv) {
         UniqueCon = static_cast<uint64_t>(T->numberOr("unique_contended", 0));
       }
     std::string Out;
+    // Reads are lock-free; only their locked fallbacks take the lock.
+    Out += "# HELP sepe_serving_shard_shared_acquires Fast-lane read-lock "
+           "acquisitions: locked fallbacks after failed lock-free reads\n";
     Out += "# TYPE sepe_serving_shard_shared_acquires counter\n";
     Out += "sepe_serving_shard_shared_acquires " +
            std::to_string(SharedAcq) + "\n";
@@ -482,6 +485,7 @@ int main(int Argc, char **Argv) {
 
   // Per-shard lock pressure on the fast lane (the active generation's
   // counters; summarized here, embedded shard-by-shard in the JSON).
+  // Reads are lock-free, so their side counts locked read fallbacks.
   const std::string Contention = Table.fastLaneContentionJson();
   {
     uint64_t SharedAcq = 0, SharedCon = 0, UniqueAcq = 0, UniqueCon = 0;
@@ -501,13 +505,13 @@ int main(int Argc, char **Argv) {
         }
       }
     }
-    std::printf("  lock pressure  reads %llu (%llu contended), "
-                "writes %llu (%llu contended)\n",
+    std::printf("  lock pressure  locked read fallbacks %llu "
+                "(%llu contended), writes %llu (%llu contended)\n",
                 static_cast<unsigned long long>(SharedAcq),
                 static_cast<unsigned long long>(SharedCon),
                 static_cast<unsigned long long>(UniqueAcq),
                 static_cast<unsigned long long>(UniqueCon));
-    std::printf("  shard spread   reads p50 %.0f / p99 %.0f, "
+    std::printf("  shard spread   read fallbacks p50 %.0f / p99 %.0f, "
                 "writes p50 %.0f / p99 %.0f (per-shard acquires)\n",
                 quantile(SharedPerShard, 0.50), quantile(SharedPerShard, 0.99),
                 quantile(UniquePerShard, 0.50),

@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -110,6 +111,32 @@ TEST(KeySamplerTest, ReservoirIsRoughlyUniform) {
   EXPECT_GE(Deciles.size(), 8u);
 }
 
+TEST(KeySamplerTest, ConcurrentOffersStayBoundedAndExact) {
+  // Rejected offers take no lock, so racing offerers must still leave
+  // an exact count and a reservoir of offered keys, full and no more.
+  KeySampler Sampler(64, 3);
+  constexpr int Threads = 4;
+  constexpr int PerThread = 5000;
+  std::vector<std::thread> Offerers;
+  for (int T = 0; T != Threads; ++T)
+    Offerers.emplace_back([&Sampler, T] {
+      for (int I = 0; I != PerThread; ++I)
+        Sampler.offer(std::to_string(T) + "-" + std::to_string(I));
+    });
+  for (std::thread &T : Offerers)
+    T.join();
+  EXPECT_EQ(Sampler.offered(), uint64_t{Threads} * PerThread);
+  const std::vector<std::string> Kept = Sampler.snapshot();
+  ASSERT_EQ(Kept.size(), 64u);
+  std::set<char> Sources;
+  for (const std::string &Key : Kept) {
+    ASSERT_EQ(Key[1], '-') << Key;
+    Sources.insert(Key[0]);
+  }
+  // A thread missing from a uniform 64-key sample: p = 4 * 0.75^64.
+  EXPECT_EQ(Sources.size(), size_t{Threads});
+}
+
 // --- DriftDetector -----------------------------------------------------
 
 TEST(DriftDetectorTest, WindowOpenUntilFull) {
@@ -176,6 +203,67 @@ TEST(DriftDetectorTest, ConcurrentObserversLoseNothing) {
   // landing between the crossing and the close), so only require the
   // order of magnitude.
   EXPECT_GE(D.windowsClosed(), uint64_t{ThreadCount} * PerThread * 10 / 2000);
+}
+
+TEST(DriftDetectorTest, StalledCloserCannotWedgeTheWindow) {
+  // More observers than cores, so a thread is often preempted right
+  // after the add that filled a window. If only that thread could close
+  // the window, the others' adds would leave it past its size for good:
+  // no later add crosses the boundary again, so no window ever closes.
+  // Any thread that sees a full window must close it instead. Each
+  // trial ends with one single-threaded full window, which must close.
+  const unsigned Threads =
+      std::max(8u, 2 * std::thread::hardware_concurrency());
+  for (int Trial = 0; Trial != 3; ++Trial) {
+    DriftDetector D(64, 0.5);
+    std::atomic<bool> Stop{false};
+    std::vector<std::thread> Observers;
+    for (unsigned T = 0; T != Threads; ++T)
+      Observers.emplace_back([&] {
+        while (!Stop.load(std::memory_order_relaxed))
+          D.observe(1, 0);
+      });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    Stop.store(true, std::memory_order_relaxed);
+    for (std::thread &T : Observers)
+      T.join();
+    const uint64_t Closed = D.windowsClosed();
+    EXPECT_EQ(D.observe(64, 0), DriftDetector::Window::Closed)
+        << "trial " << Trial << " wedged after " << Closed << " windows";
+    EXPECT_EQ(D.windowsClosed(), Closed + 1);
+  }
+}
+
+TEST(DriftDetectorTest, SingleKeyObservationsCountExactly) {
+  // Clean single keys wait in this thread's stripe until FlushEvery of
+  // them accumulate; a miss moves them into the window with itself.
+  DriftDetector D(100, 0.1);
+  for (int I = 0; I != 99; ++I)
+    EXPECT_EQ(D.observeClean(), DriftDetector::Window::Open);
+  EXPECT_EQ(D.observedTotal(), 99u) << "pending keys count toward totals";
+  EXPECT_EQ(D.observeMiss(), DriftDetector::Window::Closed);
+  EXPECT_EQ(D.windowsClosed(), 1u);
+  EXPECT_DOUBLE_EQ(D.lastRatio(), 0.01);
+  // Twenty misses in a row trip the next window the moment it fills.
+  for (int I = 0; I != 80; ++I)
+    D.observeClean();
+  for (int I = 0; I != 19; ++I)
+    EXPECT_EQ(D.observeMiss(), DriftDetector::Window::Open);
+  EXPECT_EQ(D.observeMiss(), DriftDetector::Window::Tripped);
+  EXPECT_EQ(D.observedTotal(), 200u);
+  EXPECT_EQ(D.mismatchedTotal(), 21u);
+  // reset() empties the stripes as well: keys observed before it stay
+  // in the totals but never reach the next window.
+  for (int I = 0; I != 50; ++I)
+    D.observeClean();
+  D.reset();
+  EXPECT_EQ(D.observedTotal(), 250u);
+  for (int I = 0; I != 99; ++I)
+    EXPECT_EQ(D.observeClean(), DriftDetector::Window::Open) << I;
+  EXPECT_EQ(D.observeMiss(), DriftDetector::Window::Closed);
+  EXPECT_DOUBLE_EQ(D.lastRatio(), 0.01);
+  EXPECT_EQ(D.observedTotal(), 350u);
+  EXPECT_EQ(D.mismatchedTotal(), 22u);
 }
 
 // --- Guarded dispatch equivalence (per paper format) -------------------

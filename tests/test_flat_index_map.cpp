@@ -208,7 +208,8 @@ TEST(FlatIndexMapTest, PreHashedEntryPointsMatchPlain) {
 TEST(SwissGroupTest, SimdAndScalarMatchersAgree) {
   // The SSE2 group matchers and the portable bit-twiddling fallback
   // must report identical candidate masks for any control-byte pattern:
-  // full tags (0..127), empty (-128), and tombstones (-2).
+  // full tags (0..127), empty (-128), and tombstones (-2), for a group
+  // built from the two control words FlatIndexMap stores it in.
   std::mt19937_64 Rng(0x5155);
   for (int Trial = 0; Trial != 2000; ++Trial) {
     alignas(16) int8_t Ctrl[swiss::GroupSize];
@@ -226,10 +227,13 @@ TEST(SwissGroupTest, SimdAndScalarMatchersAgree) {
       }
     }
     const int8_t Tag = static_cast<int8_t>(Rng() % 128);
-    EXPECT_EQ(swiss::matchTag(Ctrl, Tag),
-              swiss::matchTagScalar(Ctrl, Tag));
-    EXPECT_EQ(swiss::matchEmpty(Ctrl), swiss::matchEmptyScalar(Ctrl));
-    EXPECT_EQ(swiss::matchEmptyOrDeleted(Ctrl),
+    uint64_t Words[2] = {~0ull, ~0ull};
+    for (size_t I = 0; I != swiss::GroupSize; ++I)
+      Words[I / 8] = swiss::withCtrlByte(Words[I / 8], I % 8, Ctrl[I]);
+    const swiss::Group FromWords(Words[0], Words[1]);
+    EXPECT_EQ(FromWords.matchTag(Tag), swiss::matchTagScalar(Ctrl, Tag));
+    EXPECT_EQ(FromWords.matchEmpty(), swiss::matchEmptyScalar(Ctrl));
+    EXPECT_EQ(FromWords.matchEmptyOrDeleted(),
               swiss::matchEmptyOrDeletedScalar(Ctrl));
   }
 }
@@ -311,6 +315,73 @@ TEST(FlatIndexMapTest, TombstoneChurnStaysBoundedAndCorrect) {
   EXPECT_LE(Map.capacity(), 1024u)
       << "tombstone sweeps must keep a 64-key pool in a small table";
   EXPECT_LE(Map.tombstones(), Map.capacity() * 7 / 8);
+}
+
+TEST(FlatIndexMapTest, MutationsInvalidateOpenReads) {
+  // The lock-free read protocol, single-threaded: a Read opened before
+  // a mutation must fail validation after it, whether the mutation
+  // wrote a slot, swept tombstones into the spare block or grew into a
+  // new one; an insert or erase that changed nothing leaves it valid. A
+  // stale Read still probes the block it pinned, which stays alive.
+  const SynthesizedHash Hash = bijectiveHash(R"(\d{3}-\d{2}-\d{4})");
+  Expected<FormatSpec> Spec = parseRegex(R"(\d{3}-\d{2}-\d{4})");
+  ASSERT_TRUE(Spec);
+  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 4242);
+  // Two 16-slot groups; the scramble's top bit picks a key's home.
+  FlatIndexMap<uint64_t> Map(Hash, 16);
+  ASSERT_EQ(Map.capacity(), 32u);
+  std::vector<std::string> Home[2];
+  for (const std::string &K : Gen.distinct(256))
+    Home[probe::scramble(Hash(K)) >> 63].push_back(K);
+  ASSERT_GE(Home[0].size(), 16u);
+  ASSERT_GE(Home[1].size(), 13u);
+
+  // A full home group, so that erasing from it leaves a tombstone.
+  for (uint64_t I = 0; I != 16; ++I) {
+    const auto R = Map.readBegin();
+    EXPECT_FALSE(R.busy());
+    ASSERT_TRUE(Map.insert(Home[0][I], I));
+    EXPECT_FALSE(Map.readValidate(R)) << "insert " << I;
+  }
+  auto R = Map.readBegin();
+  EXPECT_FALSE(Map.insert(Home[0][0], 99));
+  EXPECT_TRUE(Map.readValidate(R)) << "duplicate insert";
+  EXPECT_FALSE(Map.erase(Home[1][0]));
+  EXPECT_TRUE(Map.readValidate(R)) << "absent erase";
+  EXPECT_TRUE(Map.erase(Home[0][15]));
+  EXPECT_FALSE(Map.readValidate(R)) << "erase";
+  ASSERT_EQ(Map.tombstones(), 1u);
+
+  // 15 live keys and a tombstone: eleven more fit, the twelfth sweeps.
+  for (uint64_t I = 0; I != 11; ++I)
+    ASSERT_TRUE(Map.insert(Home[1][I], 100 + I));
+  ASSERT_EQ(Map.tombstones(), 1u);
+  R = Map.readBegin();
+  ASSERT_TRUE(Map.insert(Home[1][11], 111));
+  EXPECT_EQ(Map.tombstones(), 0u) << "the insert swept";
+  EXPECT_EQ(Map.capacity(), 32u) << "a sweep keeps the capacity";
+  EXPECT_FALSE(Map.readValidate(R)) << "tombstone sweep";
+  uint64_t Out = 0;
+  EXPECT_TRUE(Map.probeRelaxed(R, Hash(Home[0][3]), Out));
+  EXPECT_EQ(Out, 3u);
+  EXPECT_FALSE(Map.probeRelaxed(R, Hash(Home[1][11]), Out))
+      << "the pinned block predates the insert";
+
+  // 27 live keys: the next insert grows the map.
+  R = Map.readBegin();
+  ASSERT_TRUE(Map.insert(Home[1][12], 112));
+  EXPECT_EQ(Map.capacity(), 64u);
+  EXPECT_FALSE(Map.readValidate(R)) << "growth";
+  EXPECT_TRUE(Map.probeRelaxed(R, Hash(Home[1][4]), Out));
+  EXPECT_EQ(Out, 104u);
+  EXPECT_FALSE(Map.probeRelaxed(R, Hash(Home[1][12]), Out));
+
+  // A fresh read sees the grown map and validates.
+  R = Map.readBegin();
+  EXPECT_TRUE(Map.probeRelaxed(R, Hash(Home[1][12]), Out));
+  EXPECT_EQ(Out, 112u);
+  EXPECT_FALSE(Map.probeRelaxed(R, Hash(Home[0][15]), Out));
+  EXPECT_TRUE(Map.readValidate(R));
 }
 
 TEST(FlatIndexMapTest, InsertBatchHashesThroughBatchKernel) {
