@@ -123,17 +123,6 @@ public:
         bucketFor(K).push_back(std::move(K));
   }
 
-  /// Swaps in \p NewHash and re-buckets every stored key under it — the
-  /// container half of an adaptive hot swap (runtime/adaptive_hash.h):
-  /// after the runtime publishes a resynthesized function, a table keyed
-  /// by the retired generation migrates in one call with every
-  /// membership preserved.
-  void rehashWith(Hasher NewHash) {
-    SEPE_COUNT("low_mix_table.rehash_with");
-    Hash = std::move(NewHash);
-    rehash(Buckets.size());
-  }
-
 private:
   uint64_t hashOf(const Key &K) const {
     return static_cast<uint64_t>(Hash(K));

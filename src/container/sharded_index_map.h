@@ -21,13 +21,12 @@
 /// A shard never frees a block a reader may be probing
 /// (FlatIndexMap::rehash bounds what it keeps).
 ///
-/// Batch entry points hash a 64-key chunk densely first (one
+/// Batch lookups hash a 64-key chunk densely first (one
 /// SynthesizedHash::hashBatch call, so the AVX2 wide kernels run at
 /// full width), then counting-sort the chunk's indices by shard and
 /// probe each shard's dense group as one lock-free read validated once
-/// for the whole group (a write lock for writes) — the validation, or
-/// the fallback lock, amortizes over the group instead of being paid
-/// per key.
+/// for the whole group — the validation, or the fallback lock,
+/// amortizes over the group instead of being paid per key.
 ///
 /// Hot swap across a re-synthesis is epoch-based, RCU-style: all state
 /// a reader consults (hash, guard pattern, shard array, epoch number)
@@ -175,7 +174,6 @@ public:
   ShardedIndexMap &operator=(const ShardedIndexMap &) = delete;
 
   size_t shardCount() const { return size_t{1} << Bits; }
-  unsigned shardBits() const { return Bits; }
 
   /// Label of the active table (the EpochLabel it was constructed or
   /// migrated with). Label, hash and pattern live in one published
@@ -185,9 +183,6 @@ public:
 
   /// The active generation's hash (cheap: shared plan ownership).
   SynthesizedHash hasher() const { return active()->Hash; }
-
-  /// The active generation's guard pattern (copy).
-  KeyPattern pattern() const { return active()->Pattern; }
 
   /// Migrations completed since construction.
   uint64_t migrations() const {
@@ -275,24 +270,13 @@ public:
   /// format.
   bool put(std::string_view Key, Value V) {
     Table *T = activeMutable();
-    const uint64_t Image = T->Hash(Key);
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    return putLocked(*T, S, Key, Image, std::move(V));
+    return putAt(*T, Key, T->Hash(Key), std::move(V));
   }
 
   /// Removes \p Key; returns false when absent.
   bool erase(std::string_view Key) {
     Table *T = activeMutable();
-    const uint64_t Image = T->Hash(Key);
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    const bool Erased = S.Map.eraseHashed(Image);
-    if (S.Sealed && Erased)
-      replayErase(*T, Key);
-    return Erased;
+    return eraseAt(*T, Key, T->Hash(Key));
   }
 
   /// Copies the value for \p Key into \p Out; false when absent. A
@@ -318,56 +302,20 @@ public:
   /// present, else Found[I] = 0 (Out[I] untouched). Returns the hit
   /// count. Hashes each 64-key chunk densely (AVX2 batch kernel), then
   /// partitions by shard and probes every shard's group as one
-  /// validated lock-free read (probeRun).
+  /// validated lock-free read (probeChunk).
   size_t getBatch(const std::string_view *Keys, Value *Out, uint8_t *Found,
                   size_t N) const {
     const Table *T = active();
     size_t Hits = 0;
     uint64_t Images[shard::ChunkSize];
-    uint16_t Order[shard::ChunkSize];
-    uint32_t Offsets[256 + 1];
     for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
       const size_t Count = std::min(shard::ChunkSize, N - Base);
       T->Hash.hashBatch(Keys + Base, Images, Count);
-      shard::partitionChunk(Images, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S)
-        if (Offsets[S] != Offsets[S + 1])
-          Hits += probeRun(*T->Shards[S], Images, Order, Offsets[S],
-                           Offsets[S + 1], Out + Base, Found + Base);
+      Hits += probeChunk(*T, Images, Count, Out + Base, Found + Base);
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
     SEPE_COUNT_N("sharded_index_map.get.miss", N - Hits);
     return Hits;
-  }
-
-  /// Batch insert; returns the number of keys actually inserted. Same
-  /// dense-hash-then-partition structure as getBatch, with each shard
-  /// group applied under one write lock.
-  size_t putBatch(const std::string_view *Keys, const Value *Values,
-                  size_t N) {
-    Table *T = activeMutable();
-    size_t Inserted = 0;
-    uint64_t Images[shard::ChunkSize];
-    uint16_t Order[shard::ChunkSize];
-    uint32_t Offsets[256 + 1];
-    for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
-      const size_t Count = std::min(shard::ChunkSize, N - Base);
-      T->Hash.hashBatch(Keys + Base, Images, Count);
-      shard::partitionChunk(Images, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S) {
-        if (Offsets[S] == Offsets[S + 1])
-          continue;
-        Shard &Sh = *T->Shards[S];
-        std::unique_lock<std::shared_mutex> Lock(acquireUnique(Sh),
-                                                 std::adopt_lock);
-        for (uint32_t I = Offsets[S]; I != Offsets[S + 1]; ++I) {
-          const size_t K = Base + Order[I];
-          Inserted +=
-              putLocked(*T, Sh, Keys[K], Images[Order[I]], Values[K]) ? 1 : 0;
-        }
-      }
-    }
-    return Inserted;
   }
 
   /// Labeled probe: \p Image must be this map's active hash applied to
@@ -401,10 +349,7 @@ public:
       SEPE_COUNT("sharded_index_map.stale_epoch");
       return false;
     }
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    Inserted = putLocked(*T, S, Key, Image, std::move(V));
+    Inserted = putAt(*T, Key, Image, std::move(V));
     return true;
   }
 
@@ -416,12 +361,7 @@ public:
       SEPE_COUNT("sharded_index_map.stale_epoch");
       return false;
     }
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    Erased = S.Map.eraseHashed(Image);
-    if (S.Sealed && Erased)
-      replayErase(*T, Key);
+    Erased = eraseAt(*T, Key, Image);
     return true;
   }
 
@@ -437,50 +377,12 @@ public:
       return false;
     }
     Hits = 0;
-    uint16_t Order[shard::ChunkSize];
-    uint32_t Offsets[256 + 1];
     for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
       const size_t Count = std::min(shard::ChunkSize, N - Base);
-      shard::partitionChunk(Images + Base, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S)
-        if (Offsets[S] != Offsets[S + 1])
-          Hits += probeRun(*T->Shards[S], Images + Base, Order, Offsets[S],
-                           Offsets[S + 1], Out + Base, Found + Base);
+      Hits += probeChunk(*T, Images + Base, Count, Out + Base, Found + Base);
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
     SEPE_COUNT_N("sharded_index_map.get.miss", N - Hits);
-    return true;
-  }
-
-  /// Labeled batch insert over pre-hashed images; false and nothing
-  /// written on label mismatch.
-  bool putBatchHashed(const std::string_view *Keys, const uint64_t *Images,
-                      const Value *Values, size_t N, uint64_t EpochLabel,
-                      size_t &Inserted) {
-    Table *T = activeMutable();
-    if (T->Epoch != EpochLabel) {
-      SEPE_COUNT("sharded_index_map.stale_epoch");
-      return false;
-    }
-    Inserted = 0;
-    uint16_t Order[shard::ChunkSize];
-    uint32_t Offsets[256 + 1];
-    for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
-      const size_t Count = std::min(shard::ChunkSize, N - Base);
-      shard::partitionChunk(Images + Base, Count, Bits, Order, Offsets);
-      for (size_t S = 0; S != shardCount(); ++S) {
-        if (Offsets[S] == Offsets[S + 1])
-          continue;
-        Shard &Sh = *T->Shards[S];
-        std::unique_lock<std::shared_mutex> Lock(acquireUnique(Sh),
-                                                 std::adopt_lock);
-        for (uint32_t I = Offsets[S]; I != Offsets[S + 1]; ++I) {
-          const size_t K = Base + Order[I];
-          Inserted +=
-              putLocked(*T, Sh, Keys[K], Images[K], Values[K]) ? 1 : 0;
-        }
-      }
-    }
     return true;
   }
 
@@ -510,11 +412,7 @@ public:
       SEPE_EVENT("sharded.guard.reject", T->Epoch, 1);
       return false;
     }
-    const uint64_t Image = T->Hash(Key);
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    Inserted = putLocked(*T, S, Key, Image, std::move(V));
+    Inserted = putAt(*T, Key, T->Hash(Key), std::move(V));
     return true;
   }
 
@@ -526,13 +424,7 @@ public:
       SEPE_EVENT("sharded.guard.reject", T->Epoch, 2);
       return false;
     }
-    const uint64_t Image = T->Hash(Key);
-    Shard &S = T->shardFor(Image);
-    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
-                                             std::adopt_lock);
-    Erased = S.Map.eraseHashed(Image);
-    if (S.Sealed && Erased)
-      replayErase(*T, Key);
+    Erased = eraseAt(*T, Key, T->Hash(Key));
     return true;
   }
 
@@ -642,6 +534,23 @@ private:
     return probeRun(S, &Image, &Only, 0, 1, &Out, &Found) != 0;
   }
 
+  /// Probes a chunk of \p Count (<= shard::ChunkSize) images:
+  /// partitions it by shard and probes each shard's run (probeRun).
+  /// Results go to Out/Found at the images' own indices. Returns the
+  /// hits.
+  size_t probeChunk(const Table &T, const uint64_t *Images, size_t Count,
+                    Value *Out, uint8_t *Found) const {
+    uint16_t Order[shard::ChunkSize];
+    uint32_t Offsets[256 + 1];
+    shard::partitionChunk(Images, Count, Bits, Order, Offsets);
+    size_t Hits = 0;
+    for (size_t S = 0; S != shardCount(); ++S)
+      if (Offsets[S] != Offsets[S + 1])
+        Hits += probeRun(*T.Shards[S], Images, Order, Offsets[S],
+                         Offsets[S + 1], Out, Found);
+    return Hits;
+  }
+
   /// Probes one shard's run of a partitioned chunk: Images[Order[I]]
   /// for I in [Begin, End), results to Out/Found[Order[I]] (Out is
   /// untouched for a miss). The whole run is one lock-free read,
@@ -701,14 +610,31 @@ private:
     return S.Mutex;
   }
 
-  /// Insert under \p S's write lock, replaying against the successor
-  /// when sealed.
-  bool putLocked(Table &T, Shard &S, std::string_view Key, uint64_t Image,
-                 Value V) {
+  /// Inserts (\p Key, \p V) at \p Image, \p T's hash of \p Key, under
+  /// its shard's write lock, replaying against the successor when the
+  /// shard is sealed. Returns false (keeping the old value) when
+  /// present.
+  bool putAt(Table &T, std::string_view Key, uint64_t Image, Value V) {
+    Shard &S = T.shardFor(Image);
+    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
+                                             std::adopt_lock);
     const bool Inserted = S.Map.insertHashed(Image, V);
     if (S.Sealed && Inserted)
       replayPut(T, Key, std::move(V));
     return Inserted;
+  }
+
+  /// Erases \p Image, \p T's hash of \p Key, under its shard's write
+  /// lock, replaying against the successor when the shard is sealed.
+  /// Returns false when absent.
+  bool eraseAt(Table &T, std::string_view Key, uint64_t Image) {
+    Shard &S = T.shardFor(Image);
+    std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
+                                             std::adopt_lock);
+    const bool Erased = S.Map.eraseHashed(Image);
+    if (S.Sealed && Erased)
+      replayErase(T, Key);
+    return Erased;
   }
 
   /// Dual-write lane: re-applies a mutation against the successor

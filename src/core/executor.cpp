@@ -15,8 +15,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
-#if defined(__AVX2__) && !defined(SEPE_DISABLE_AVX2)
+#if defined(__AVX2__)
 #define SEPE_EXEC_AVX2 1
 #endif
 
@@ -635,116 +636,21 @@ void batchWideXor(const HashPlan &Plan, const std::string_view *Keys,
 // the plan's step count (paper formats have 1-4 loads) or the generic
 // runtime-count kernel beyond that.
 
-EvalFnT selectFixedXorEval(size_t M) {
+/// Returns \p Make's kernel for a plan of \p M steps: Make receives the
+/// step count as a std::integral_constant, 1-4 for the fused
+/// instantiations and 0 (the generic runtime-count kernel) otherwise.
+template <typename MakeFn> auto byStepCount(size_t M, MakeFn Make) {
   switch (M) {
   case 1:
-    return evalFixedXor<1>;
+    return Make(std::integral_constant<size_t, 1>{});
   case 2:
-    return evalFixedXor<2>;
+    return Make(std::integral_constant<size_t, 2>{});
   case 3:
-    return evalFixedXor<3>;
+    return Make(std::integral_constant<size_t, 3>{});
   case 4:
-    return evalFixedXor<4>;
+    return Make(std::integral_constant<size_t, 4>{});
   default:
-    return evalFixedXor<>;
-  }
-}
-
-template <uint64_t (*Pext)(uint64_t, uint64_t)>
-EvalFnT selectFixedPextEval(size_t M) {
-  switch (M) {
-  case 1:
-    return evalFixedPext<Pext, 1>;
-  case 2:
-    return evalFixedPext<Pext, 2>;
-  case 3:
-    return evalFixedPext<Pext, 3>;
-  case 4:
-    return evalFixedPext<Pext, 4>;
-  default:
-    return evalFixedPext<Pext>;
-  }
-}
-
-BatchFnT selectFixedXorBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return batchFixedXor<1>;
-  case 2:
-    return batchFixedXor<2>;
-  case 3:
-    return batchFixedXor<3>;
-  case 4:
-    return batchFixedXor<4>;
-  default:
-    return batchFixedXor<>;
-  }
-}
-
-template <uint64_t (*Pext)(uint64_t, uint64_t)>
-BatchFnT selectFixedPextBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return batchFixedPext<Pext, 1>;
-  case 2:
-    return batchFixedPext<Pext, 2>;
-  case 3:
-    return batchFixedPext<Pext, 3>;
-  case 4:
-    return batchFixedPext<Pext, 4>;
-  default:
-    return batchFixedPext<Pext>;
-  }
-}
-
-BatchFnT selectFixedPextNetworkBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return batchFixedPextNetwork<1>;
-  case 2:
-    return batchFixedPextNetwork<2>;
-  case 3:
-    return batchFixedPextNetwork<3>;
-  case 4:
-    return batchFixedPextNetwork<4>;
-  default:
-    return batchFixedPextNetwork<>;
-  }
-}
-
-// Forced-Scalar batches over fixed-length plans loop the same
-// step-specialized single-key kernel the per-key operator uses, so the
-// driver's scalar-vs-interleaved-vs-avx2 comparison isolates kernel
-// width rather than step-loop overhead.
-
-BatchFnT scalarFixedXorBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return batchViaSingle<evalFixedXor<1>>;
-  case 2:
-    return batchViaSingle<evalFixedXor<2>>;
-  case 3:
-    return batchViaSingle<evalFixedXor<3>>;
-  case 4:
-    return batchViaSingle<evalFixedXor<4>>;
-  default:
-    return batchViaSingle<evalFixedXor<>>;
-  }
-}
-
-template <uint64_t (*Pext)(uint64_t, uint64_t)>
-BatchFnT scalarFixedPextBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return batchViaSingle<evalFixedPext<Pext, 1>>;
-  case 2:
-    return batchViaSingle<evalFixedPext<Pext, 2>>;
-  case 3:
-    return batchViaSingle<evalFixedPext<Pext, 3>>;
-  case 4:
-    return batchViaSingle<evalFixedPext<Pext, 4>>;
-  default:
-    return batchViaSingle<evalFixedPext<Pext>>;
+    return Make(std::integral_constant<size_t, 0>{});
   }
 }
 
@@ -789,13 +695,17 @@ SynthesizedHash::EvalFn SynthesizedHash::selectEval(const HashPlan &Plan,
   }
 
   if (Plan.FixedLength) {
+    const size_t M = Plan.Steps.size();
     switch (Plan.Family) {
     case HashFamily::Naive:
     case HashFamily::OffXor:
-      return selectFixedXorEval(Plan.Steps.size());
+      return byStepCount(M, [](auto S) -> EvalFnT { return evalFixedXor<S>; });
     case HashFamily::Pext:
-      return HwPext ? selectFixedPextEval<pextHw>(Plan.Steps.size())
-                    : selectFixedPextEval<pextSoft>(Plan.Steps.size());
+      if (HwPext)
+        return byStepCount(
+            M, [](auto S) -> EvalFnT { return evalFixedPext<pextHw, S>; });
+      return byStepCount(
+          M, [](auto S) -> EvalFnT { return evalFixedPext<pextSoft, S>; });
     case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
       if (Hw)
@@ -846,14 +756,30 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
 
   if (Plan.FixedLength) {
     const size_t M = Plan.Steps.size();
+    // A forced Scalar batch over a fixed-length plan loops the same
+    // step-specialized single-key kernel the per-key operator uses, so
+    // sepedriver's scalar-vs-interleaved-vs-avx2 comparison isolates
+    // kernel width rather than step-loop overhead.
     if (Preferred == BatchPath::Scalar) {
       switch (Plan.Family) {
       case HashFamily::Naive:
       case HashFamily::OffXor:
-        return {scalarFixedXorBatch(M), BatchPath::Scalar};
+        return {byStepCount(M,
+                            [](auto S) -> BatchFnT {
+                              return batchViaSingle<evalFixedXor<S>>;
+                            }),
+                BatchPath::Scalar};
       case HashFamily::Pext:
-        return {HwPext ? scalarFixedPextBatch<pextHw>(M)
-                       : scalarFixedPextBatch<pextSoft>(M),
+        if (HwPext)
+          return {byStepCount(M,
+                              [](auto S) -> BatchFnT {
+                                return batchViaSingle<evalFixedPext<pextHw, S>>;
+                              }),
+                  BatchPath::Scalar};
+        return {byStepCount(M,
+                            [](auto S) -> BatchFnT {
+                              return batchViaSingle<evalFixedPext<pextSoft, S>>;
+                            }),
                 BatchPath::Scalar};
       case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
@@ -893,12 +819,26 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
     switch (Plan.Family) {
     case HashFamily::Naive:
     case HashFamily::OffXor:
-      return {selectFixedXorBatch(M), BatchPath::Interleaved};
+      return {byStepCount(
+                  M, [](auto S) -> BatchFnT { return batchFixedXor<S>; }),
+              BatchPath::Interleaved};
     case HashFamily::Pext:
       if (HwPext)
-        return {selectFixedPextBatch<pextHw>(M), BatchPath::Interleaved};
-      return {M <= MaxPrecomputedSteps ? selectFixedPextNetworkBatch(M)
-                                       : selectFixedPextBatch<pextSoft>(M),
+        return {byStepCount(M,
+                            [](auto S) -> BatchFnT {
+                              return batchFixedPext<pextHw, S>;
+                            }),
+                BatchPath::Interleaved};
+      if (M <= MaxPrecomputedSteps)
+        return {byStepCount(M,
+                            [](auto S) -> BatchFnT {
+                              return batchFixedPextNetwork<S>;
+                            }),
+                BatchPath::Interleaved};
+      return {byStepCount(M,
+                          [](auto S) -> BatchFnT {
+                            return batchFixedPext<pextSoft, S>;
+                          }),
               BatchPath::Interleaved};
     case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
@@ -1058,21 +998,6 @@ using GuardedBatchFnT = size_t (*)(const HashPlan &, const BatchGuard &,
                                    const std::string_view *, uint64_t *,
                                    size_t, uint32_t *);
 
-GuardedBatchFnT selectGuardedFixedXorBatch(size_t M) {
-  switch (M) {
-  case 1:
-    return guardedFixedXorBatch<1>;
-  case 2:
-    return guardedFixedXorBatch<2>;
-  case 3:
-    return guardedFixedXorBatch<3>;
-  case 4:
-    return guardedFixedXorBatch<4>;
-  default:
-    return guardedFixedXorBatch<>;
-  }
-}
-
 } // namespace
 
 BatchGuard SynthesizedHash::compileGuard(const KeyPattern &Guard) const {
@@ -1135,8 +1060,11 @@ size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,
     return hashBatchGuarded(Guard, Keys, Out, N, MissIdx);
   assert(Compiled.StepMasks.size() == Plan->Steps.size() &&
          "guard compiled against a different plan");
-  return selectGuardedFixedXorBatch(Plan->Steps.size())(*Plan, Compiled, Keys,
-                                                        Out, N, MissIdx);
+  const GuardedBatchFnT Kernel =
+      byStepCount(Plan->Steps.size(), [](auto S) -> GuardedBatchFnT {
+        return guardedFixedXorBatch<S>;
+      });
+  return Kernel(*Plan, Compiled, Keys, Out, N, MissIdx);
 }
 
 size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,

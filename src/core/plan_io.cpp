@@ -168,8 +168,9 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
       }
     } else if (Key == "freebits") {
       uint64_t Bits = 0;
-      if (Tokens.size() != 2 || !parseU64(Tokens[1], Bits))
-        return lineError(LineNo, "freebits requires one integer");
+      if (Tokens.size() != 2 || !parseU64(Tokens[1], Bits) ||
+          Bits > UINT32_MAX)
+        return lineError(LineNo, "freebits requires one integer < 2^32");
       Plan.FreeBits = static_cast<unsigned>(Bits);
     } else if (Key == "step") {
       uint64_t Offset = 0, Mask = 0, Shift = 0;
@@ -183,7 +184,7 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     } else if (Key == "skip") {
       for (size_t I = 1; I != Tokens.size(); ++I) {
         uint64_t Value = 0;
-        if (!parseU64(Tokens[I], Value))
+        if (!parseU64(Tokens[I], Value) || Value > UINT32_MAX)
           return lineError(LineNo, "malformed skip entry");
         Plan.Skip.Skip.push_back(static_cast<uint32_t>(Value));
       }
@@ -196,8 +197,9 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
       }
     } else if (Key == "tail") {
       uint64_t Tail = 0;
-      if (Tokens.size() != 2 || !parseU64(Tokens[1], Tail))
-        return lineError(LineNo, "tail requires one integer");
+      if (Tokens.size() != 2 || !parseU64(Tokens[1], Tail) ||
+          Tail > UINT32_MAX)
+        return lineError(LineNo, "tail requires one integer < 2^32");
       Plan.Skip.TailStart = static_cast<uint32_t>(Tail);
     } else {
       return lineError(LineNo,

@@ -8,15 +8,19 @@
 
 #include "core/inference.h"
 #include "core/synthesizer.h"
-#include "hashes/city.h"
 #include "hashes/low_level_hash.h"
 #include "support/telemetry.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace sepe {
 
 namespace {
+
+uint64_t fallbackHash(std::string_view Key) {
+  return lowLevelHash(Key.data(), Key.size(), 0);
+}
 
 int64_t nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -45,16 +49,16 @@ DriftProbe findDriftProbe(const KeyPattern &Pattern) {
 }
 
 AdaptiveHash::AdaptiveHash(KeyPattern Pattern, AdaptiveOptions Opts)
-    : Options(Opts), Sampler(Opts.SamplerCapacity),
-      InFormatSampler(Opts.SamplerCapacity, 0x1f5a),
-      Detector(Opts.DriftWindow, Opts.DriftThreshold) {
+    : Options(Opts), Sampler(SamplerCapacity),
+      InFormatSampler(SamplerCapacity, 0x1f5a),
+      Detector(Opts.DriftWindow, DriftThreshold) {
   auto G = std::make_unique<Generation>();
   G->Pattern = std::move(Pattern);
   G->Epoch = 0;
   if (!G->Pattern.empty()) {
     Expected<HashPlan> Plan = synthesize(G->Pattern, Options.Family);
     if (Plan) {
-      G->Fast = SynthesizedHash(Plan.take(), Options.Isa, Options.Preferred);
+      G->Fast = SynthesizedHash(Plan.take(), Options.Isa);
       G->Guard = G->Fast.compileGuard(G->Pattern);
     }
     // A pattern the synthesizer rejects (e.g. all-constant) cold-starts
@@ -87,12 +91,6 @@ void AdaptiveHash::publish(std::unique_ptr<const Generation> G) {
     SEPE_EVENT("adaptive.plan.retired", Prev->Epoch, 0);
 }
 
-uint64_t AdaptiveHash::fallbackHash(std::string_view Key) const {
-  return Options.Fallback == FallbackKind::City
-             ? cityHash64(Key.data(), Key.size())
-             : lowLevelHash(Key.data(), Key.size(), 0);
-}
-
 void AdaptiveHash::onTripped() const {
   SEPE_EVENT("adaptive.drift.tripped", active()->Epoch,
              static_cast<uint64_t>(Detector.lastRatio() * 1e6));
@@ -123,55 +121,12 @@ void AdaptiveHash::sampleInFormatBatch(const Generation *G,
 }
 
 uint64_t AdaptiveHash::operator()(std::string_view Key) const {
-  const Generation *G = active();
-  if (G->Fast.valid() && G->Pattern.matches(Key)) {
-    const uint64_t H = G->Fast(Key);
-    maybeSampleInFormat(Key);
-    if (Detector.observeClean() == DriftDetector::Window::Tripped)
-      onTripped();
-    return H;
-  }
-  SEPE_COUNT("adaptive.guard.miss_keys");
-  Sampler.offer(Key);
-  if (Detector.observeMiss() == DriftDetector::Window::Tripped)
-    onTripped();
-  return fallbackHash(Key);
+  return route(Key).Hash;
 }
 
 void AdaptiveHash::hashBatch(const std::string_view *Keys, uint64_t *Out,
                              size_t N) const {
-  const Generation *G = active();
-  size_t Misses = 0;
-  if (!G->Fast.valid()) {
-    // Cold start: everything takes the fallback lane and is sampled.
-    for (size_t I = 0; I != N; ++I) {
-      Out[I] = fallbackHash(Keys[I]);
-      Sampler.offer(Keys[I]);
-    }
-    Misses = N;
-  } else {
-    constexpr size_t Block = 1024;
-    uint32_t MissIdx[Block];
-    for (size_t Base = 0; Base < N; Base += Block) {
-      const size_t Count = N - Base < Block ? N - Base : Block;
-      const size_t M = G->Fast.hashBatchGuarded(
-          G->Pattern, G->Guard, Keys + Base, Out + Base, Count, MissIdx);
-      for (size_t I = 0; I != M; ++I) {
-        const size_t K = Base + MissIdx[I];
-        Out[K] = fallbackHash(Keys[K]);
-        Sampler.offer(Keys[K]);
-      }
-      Misses += M;
-    }
-  }
-  sampleInFormatBatch(G, Keys, N, Misses);
-  SEPE_COUNT_N("adaptive.guard.pass_keys", N - Misses);
-  SEPE_COUNT_N("adaptive.guard.miss_keys", Misses);
-  if (Detector.observe(N, Misses) == DriftDetector::Window::Tripped) {
-    SEPE_RECORD("adaptive.window.mismatch_ppm",
-                static_cast<uint64_t>(Detector.lastRatio() * 1e6));
-    onTripped();
-  }
+  guardedBatch(active(), Keys, Out, N, /*MissIdx=*/nullptr);
 }
 
 AdaptiveHash::Routed AdaptiveHash::route(std::string_view Key) const {
@@ -195,29 +150,36 @@ size_t AdaptiveHash::routeBatch(const std::string_view *Keys, uint64_t *Out,
                                 uint64_t &Epoch) const {
   const Generation *G = active();
   Epoch = G->Epoch;
+  return guardedBatch(G, Keys, Out, N, MissIdx);
+}
+
+size_t AdaptiveHash::guardedBatch(const Generation *G,
+                                  const std::string_view *Keys, uint64_t *Out,
+                                  size_t N, uint32_t *MissIdx) const {
   size_t Misses = 0;
+  const auto Miss = [&](size_t K) {
+    Out[K] = fallbackHash(Keys[K]);
+    Sampler.offer(Keys[K]);
+    if (MissIdx)
+      MissIdx[Misses] = static_cast<uint32_t>(K);
+    ++Misses;
+  };
   if (!G->Fast.valid()) {
-    for (size_t I = 0; I != N; ++I) {
-      Out[I] = fallbackHash(Keys[I]);
-      Sampler.offer(Keys[I]);
-      MissIdx[Misses++] = static_cast<uint32_t>(I);
-    }
+    // Cold start: everything takes the fallback lane and is sampled.
+    for (size_t I = 0; I != N; ++I)
+      Miss(I);
   } else {
     constexpr size_t Block = 1024;
     uint32_t Local[Block];
     for (size_t Base = 0; Base < N; Base += Block) {
-      const size_t Count = N - Base < Block ? N - Base : Block;
+      const size_t Count = std::min(N - Base, Block);
       const size_t M = G->Fast.hashBatchGuarded(
           G->Pattern, G->Guard, Keys + Base, Out + Base, Count, Local);
-      for (size_t I = 0; I != M; ++I) {
-        const size_t K = Base + Local[I];
-        Out[K] = fallbackHash(Keys[K]);
-        Sampler.offer(Keys[K]);
-        MissIdx[Misses++] = static_cast<uint32_t>(K);
-      }
+      for (size_t I = 0; I != M; ++I)
+        Miss(Base + Local[I]);
     }
-    sampleInFormatBatch(G, Keys, N, Misses);
   }
+  sampleInFormatBatch(G, Keys, N, Misses);
   SEPE_COUNT_N("adaptive.guard.pass_keys", N - Misses);
   SEPE_COUNT_N("adaptive.guard.miss_keys", Misses);
   if (Detector.observe(N, Misses) == DriftDetector::Window::Tripped) {
@@ -258,7 +220,7 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
       return false;
     }
   }
-  if (Sampler.size() < Options.MinSamples) {
+  if (Sampler.size() < MinSamples) {
     SEPE_COUNT("adaptive.resynthesis.skipped_few_samples");
     Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SkippedFewSamples));
     return false;
@@ -286,7 +248,7 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
   }
   auto G = std::make_unique<Generation>();
   G->Pattern = Joined;
-  G->Fast = SynthesizedHash(Plan.take(), Options.Isa, Options.Preferred);
+  G->Fast = SynthesizedHash(Plan.take(), Options.Isa);
   G->Guard = G->Fast.compileGuard(G->Pattern);
   G->Epoch = Cur->Epoch + 1;
   const uint64_t NewEpoch = G->Epoch;

@@ -22,8 +22,8 @@
 /// Hash values change across a swap (a different plan is a different
 /// function). Containers keyed through an AdaptiveHash must watch
 /// epoch() and migrate (ShardedIndexMap::migrate, which
-/// ServingTable::maintain drives; LowMixTable rebuilds in place) —
-/// exactly the contract of the paper's offline workflow, moved online.
+/// ServingTable::maintain drives) — exactly the contract of the paper's
+/// offline workflow, moved online.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +47,6 @@
 
 namespace sepe {
 
-/// Generic hash used for keys the guard rejects.
-enum class FallbackKind { City, LowLevel };
-
 /// A single-byte mutation \p Pattern is guaranteed to reject: write
 /// Byte at position Pos of an in-format key and the guard turns it
 /// away. Drift injection (tests, sepedriver --adaptive, the bench
@@ -72,24 +69,13 @@ struct AdaptiveOptions {
   /// Family synthesized for each generation.
   HashFamily Family = HashFamily::OffXor;
   IsaLevel Isa = IsaLevel::Native;
-  BatchPath Preferred = BatchPath::Auto;
-  FallbackKind Fallback = FallbackKind::LowLevel;
-
-  /// Reservoir capacity for out-of-format keys.
-  size_t SamplerCapacity = 512;
 
   /// Keys per drift window.
   size_t DriftWindow = 2048;
 
-  /// Mismatch ratio that trips a window.
-  double DriftThreshold = 0.02;
-
   /// Minimum time between hot swaps; trips landing inside it are
   /// ignored (anti-thrash).
   std::chrono::milliseconds Cooldown{250};
-
-  /// Sampled keys required before a resynthesis is attempted.
-  size_t MinSamples = 16;
 
   /// Sample one admitted (in-format) key out of every N into a second
   /// reservoir for the live quality monitor (quality/monitor.h); 0
@@ -106,9 +92,19 @@ struct AdaptiveOptions {
 
 /// A hash functor that survives key-distribution drift. Thread-safe:
 /// any number of threads may hash concurrently with at most one
-/// resynthesis in flight.
+/// resynthesis in flight. Keys the guard rejects are hashed with
+/// LowLevelHash.
 class AdaptiveHash {
 public:
+  /// Reservoir capacity for out-of-format keys.
+  static constexpr size_t SamplerCapacity = 512;
+
+  /// Mismatch ratio that trips a drift window.
+  static constexpr double DriftThreshold = 0.02;
+
+  /// Sampled keys required before a resynthesis is attempted.
+  static constexpr size_t MinSamples = 16;
+
   /// Starts from \p Pattern (synthesizing its first generation when the
   /// pattern is non-trivial). An empty pattern cold-starts: every key
   /// takes the fallback lane until enough samples accumulate to infer a
@@ -123,7 +119,8 @@ public:
   AdaptiveHash &operator=(const AdaptiveHash &) = delete;
 
   /// Hashes one key: specialized kernel when the guard admits it,
-  /// fallback otherwise (the miss is sampled and counted).
+  /// fallback otherwise (the miss is sampled and counted). route()
+  /// without the lane decision.
   uint64_t operator()(std::string_view Key) const;
 
   /// Batch form: Out[I] = (*this)(Keys[I]). Guard sweep + specialized
@@ -169,10 +166,10 @@ public:
   Routed route(std::string_view Key) const;
 
   /// Batch form of route(): Out[I] receives the hash, the indices of
-  /// guard-rejected keys land in MissIdx (caller provides capacity for
-  /// N) and the generation epoch all admitted hashes came from is
-  /// stored in Epoch. Returns the miss count. Drift observation and
-  /// sampling happen exactly as in hashBatch.
+  /// guard-rejected keys land in MissIdx in increasing order (caller
+  /// provides capacity for N) and the generation epoch all admitted
+  /// hashes came from is stored in Epoch. Returns the miss count. Drift
+  /// observation and sampling happen exactly as in hashBatch.
   size_t routeBatch(const std::string_view *Keys, uint64_t *Out, size_t N,
                     uint32_t *MissIdx, uint64_t &Epoch) const;
 
@@ -227,7 +224,14 @@ private:
   void publish(std::unique_ptr<const Generation> G);
   void onTripped() const;
   bool performResynthesis(bool RespectCooldown);
-  uint64_t fallbackHash(std::string_view Key) const;
+
+  /// The body of hashBatch() and routeBatch() over generation \p G:
+  /// guard sweep + specialized kernel, fallback and sampling for the
+  /// rejected keys (whose indices land in MissIdx, in increasing order,
+  /// unless it is null), then one drift observation. Returns the miss
+  /// count.
+  size_t guardedBatch(const Generation *G, const std::string_view *Keys,
+                      uint64_t *Out, size_t N, uint32_t *MissIdx) const;
 
   /// Every-Nth sampling of admitted keys (single-key path: the key is
   /// known in-format already).

@@ -76,7 +76,7 @@
 namespace sepe {
 
 /// Concurrent key-value table served through an adaptive synthesized
-/// hash. Any number of threads may call get/put/erase/getBatch/putBatch
+/// hash. Any number of threads may call get/put/erase/getBatch
 /// concurrently; maintain() may run concurrently with all of them (at
 /// most one maintain() makes progress at a time). Destruction requires
 /// external quiescence, like AdaptiveHash.
@@ -197,42 +197,6 @@ public:
       return true;
     }
     return getDynamic(Key, Out);
-  }
-
-  /// The dynamic-lane probe path (fast -> spill -> guarded retry);
-  /// get() puts the static lane in front of this.
-  bool getDynamic(std::string_view Key, Value &Out) const {
-    const AdaptiveHash::Routed R = Adaptive.route(Key);
-    const ShardedIndexMap<Value> *F = fast();
-    if (F && R.Admitted) {
-      switch (F->getHashed(R.Hash, R.Epoch, Out)) {
-      case ProbeResult::Hit:
-        return true;
-      case ProbeResult::Stale:
-        if (F->getGuarded(Key, Out) == ProbeResult::Hit)
-          return true;
-        break;
-      default:
-        break;
-      }
-    }
-    if (spillFind(Key, Out))
-      return true;
-    // A concurrent spill->fast sweep may have moved the key after our
-    // fast probe and before our spill probe; one guarded retry closes
-    // the window (moves only ever go in that direction). The retry must
-    // NOT be gated on R.Admitted: admission was judged by the (possibly
-    // retired) generation route() saw, while the sweep moves exactly
-    // the keys the *new* generation admits — getGuarded re-judges
-    // against the current pattern internally. Reload the lane pointer
-    // too, for the cold-start case where maintain() created it
-    // mid-call.
-    if (const ShardedIndexMap<Value> *F2 = fast();
-        F2 && F2->getGuarded(Key, Out) == ProbeResult::Hit) {
-      SEPE_COUNT("serving_table.get.retry_hit");
-      return true;
-    }
-    return false;
   }
 
   /// Inserts (key, value); returns false (keeping the old value) when
@@ -369,8 +333,8 @@ public:
           Found[Base + AdmIdx[I]] = 0;
       }
       // Spill lane + sweep-race retry for everything still unresolved
-      // (reload the lane pointer: see get() on why the retry must not
-      // depend on the admission verdict or the lane snapshot).
+      // (reload the lane pointer: see getDynamic() on why the retry must
+      // not depend on the admission verdict or the lane snapshot).
       for (size_t I = 0; I != Count; ++I) {
         const size_t K = Base + I;
         if (Found[K] == 1) {
@@ -393,65 +357,6 @@ public:
       }
     }
     return Hits;
-  }
-
-  /// Batch insert; returns the number of keys newly inserted.
-  size_t putBatch(const std::string_view *Keys, const Value *Values,
-                  size_t N) {
-    ShardedIndexMap<Value> *F = fast();
-    size_t Inserted = 0;
-    uint64_t Hashes[RouteBlock];
-    uint32_t MissIdx[RouteBlock];
-    uint64_t AdmImages[RouteBlock];
-    std::string_view AdmKeys[RouteBlock];
-    Value AdmValues[RouteBlock];
-    uint8_t IsMiss[RouteBlock];
-    for (size_t Base = 0; Base < N; Base += RouteBlock) {
-      const size_t Count = std::min(RouteBlock, N - Base);
-      uint64_t Epoch = 0;
-      const size_t Misses =
-          Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
-      for (size_t I = 0; I != Count; ++I)
-        IsMiss[I] = 0;
-      for (size_t I = 0; I != Misses; ++I)
-        IsMiss[MissIdx[I]] = 1;
-      size_t Admitted = 0;
-      for (size_t I = 0; I != Count; ++I)
-        if (!IsMiss[I]) {
-          AdmImages[Admitted] = Hashes[I];
-          AdmKeys[Admitted] = Keys[Base + I];
-          AdmValues[Admitted] = Values[Base + I];
-          ++Admitted;
-        }
-      size_t FastInserted = 0;
-      if (F && Admitted != 0 &&
-          F->putBatchHashed(AdmKeys, AdmImages, AdmValues, Admitted, Epoch,
-                            FastInserted)) {
-        Inserted += FastInserted;
-      } else if (Admitted != 0) {
-        // No fast lane, or stale epoch: guarded per-key redo, spilling
-        // what the table's pattern rejects.
-        for (size_t I = 0; I != Admitted; ++I) {
-          bool One = false;
-          if (F && F->putGuarded(AdmKeys[I], AdmValues[I], One))
-            Inserted += One ? 1 : 0;
-          else
-            Inserted += spillInsert(AdmKeys[I], AdmValues[I]) ? 1 : 0;
-        }
-      }
-      // Guard-rejected keys: offer them to the fast lane's own pattern
-      // first (the routing generation may be retired — see put()),
-      // spill the true rejects.
-      for (size_t I = 0; I != Misses; ++I) {
-        const size_t K = Base + MissIdx[I];
-        bool One = false;
-        if (F && F->putGuarded(Keys[K], Values[K], One))
-          Inserted += One ? 1 : 0;
-        else
-          Inserted += spillInsert(Keys[K], Values[K]) ? 1 : 0;
-      }
-    }
-    return Inserted;
   }
 
   /// Converges the storage onto the adaptive hash's current generation:
@@ -574,6 +479,42 @@ private:
 
   const StaticLane *staticLane() const {
     return StaticPtr.load(std::memory_order_acquire);
+  }
+
+  /// The dynamic-lane probe path (fast -> spill -> guarded retry);
+  /// get() puts the static lane in front of this.
+  bool getDynamic(std::string_view Key, Value &Out) const {
+    const AdaptiveHash::Routed R = Adaptive.route(Key);
+    const ShardedIndexMap<Value> *F = fast();
+    if (F && R.Admitted) {
+      switch (F->getHashed(R.Hash, R.Epoch, Out)) {
+      case ProbeResult::Hit:
+        return true;
+      case ProbeResult::Stale:
+        if (F->getGuarded(Key, Out) == ProbeResult::Hit)
+          return true;
+        break;
+      default:
+        break;
+      }
+    }
+    if (spillFind(Key, Out))
+      return true;
+    // A concurrent spill->fast sweep may have moved the key after our
+    // fast probe and before our spill probe; one guarded retry closes
+    // the window (moves only ever go in that direction). The retry must
+    // NOT be gated on R.Admitted: admission was judged by the (possibly
+    // retired) generation route() saw, while the sweep moves exactly
+    // the keys the *new* generation admits — getGuarded re-judges
+    // against the current pattern internally. Reload the lane pointer
+    // too, for the cold-start case where maintain() created it
+    // mid-call.
+    if (const ShardedIndexMap<Value> *F2 = fast();
+        F2 && F2->getGuarded(Key, Out) == ProbeResult::Hit) {
+      SEPE_COUNT("serving_table.get.retry_hit");
+      return true;
+    }
+    return false;
   }
 
   const ShardedIndexMap<Value> *fast() const {

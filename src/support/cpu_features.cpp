@@ -70,7 +70,7 @@ std::string sepe::cpuFeatureString() {
 }
 
 bool sepe::avx2BatchAvailable() {
-#if defined(__AVX2__) && !defined(SEPE_DISABLE_AVX2)
+#if defined(__AVX2__)
   return cpuFeatures().Avx2;
 #else
   return false;

@@ -40,9 +40,9 @@ struct CpuFeatures {
 const CpuFeatures &cpuFeatures();
 
 /// True when the AVX2 wide batch kernels are both compiled into this
-/// binary (built with -mavx2, not disabled with SEPE_DISABLE_AVX2) and
-/// supported by the running CPU. The single gate every AVX2 dispatch
-/// decision goes through.
+/// binary (built with -mavx2, i.e. SEPE_NATIVE_ISA) and supported by the
+/// running CPU. The single gate every AVX2 dispatch decision goes
+/// through.
 bool avx2BatchAvailable();
 
 /// The probed host features as one self-describing string, e.g.

@@ -307,10 +307,11 @@ void addJitWorkloads(std::vector<SuiteWorkload> &Suite,
                      const FormatFixture &Fixture, size_t Passes) {
   // Compiled-vs-interpreted columns for the families the x86-64
   // emitter handles. Each pair pins one hasher to the Jit rung and one
-  // to interpreted Scalar over the same plan; on hosts without BMI2 or
-  // for plan shapes the emitter rejects, the Jit pin resolves downward,
-  // so the workload set stays stable for the comparator and the paired
-  // columns simply converge.
+  // to the interpreted Interleaved rung (where Auto lands without the
+  // JIT, except for xor plans the AVX2 kernel takes) over the same plan;
+  // on hosts without BMI2 or for plan shapes the emitter rejects, the
+  // Jit pin resolves downward, so the workload set stays stable for the
+  // comparator and the paired columns simply converge.
   const std::string Format = paperKeyName(Fixture.Key);
   const double Units = static_cast<double>(Passes * Fixture.Views->size());
   for (HashKind Kind : {HashKind::Pext, HashKind::OffXor}) {
@@ -325,9 +326,9 @@ void addJitWorkloads(std::vector<SuiteWorkload> &Suite,
         {"", std::make_shared<SynthesizedHash>(Attached.plan(),
                                                Fixture.Set->isa(),
                                                BatchPath::Jit)},
-        {"_interp", std::make_shared<SynthesizedHash>(Attached.plan(),
-                                                      Fixture.Set->isa(),
-                                                      BatchPath::Scalar)}};
+        {"_interp", std::make_shared<SynthesizedHash>(
+                        Attached.plan(), Fixture.Set->isa(),
+                        BatchPath::Interleaved)}};
     for (const Lane &L : Lanes) {
       SuiteWorkload Batch;
       Batch.Name = "jit/" + Format + "/" + Family + "_batch" + L.Suffix;

@@ -201,7 +201,7 @@ int runAdaptiveReplay(PaperKey Key, const ExperimentConfig &Config,
               "window=%zu threshold=%.3f\n",
               paperKeyName(Key),
               HaveDriftKey ? paperKeyName(DriftKey) : "mutated",
-              StreamKeys, Options.DriftWindow, Options.DriftThreshold);
+              StreamKeys, Options.DriftWindow, AdaptiveHash::DriftThreshold);
 
   // Phase 1: steady state. A couple of warmup passes, then timed.
   (void)timedAdaptivePasses(Adaptive, BaseViews, 2);

@@ -19,7 +19,6 @@
 
 #include "core/inference.h"
 #include "core/synthesizer.h"
-#include "hashes/city.h"
 #include "hashes/low_level_hash.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
@@ -313,14 +312,58 @@ TEST_P(AdaptiveFormatTest, BatchAgreesWithSingleKeyOnMixedStream) {
   }
 }
 
-TEST_P(AdaptiveFormatTest, CityFallbackSelectable) {
+TEST_P(AdaptiveFormatTest, RouteAgreesWithOperatorAndHashBatch) {
+  // The lane-reporting entry points against the plain ones, over one
+  // stream where every third key carries the drift probe: the same
+  // hashes, the guard verdict, the epoch, and the same movement of the
+  // guard counters.
   AdaptiveOptions Options;
   Options.Background = false;
-  Options.Fallback = FallbackKind::City;
   AdaptiveHash Adaptive(paperKeyFormat(GetParam()).abstract(), Options);
-  const std::string Key =
-      drifted(formatKeys(GetParam(), 1), Adaptive.pattern()).front();
-  EXPECT_EQ(Adaptive(Key), cityHash64(Key.data(), Key.size()));
+  std::vector<std::string> Keys = formatKeys(GetParam(), 600, 11);
+  const DriftProbe Probe = findDriftProbe(Adaptive.pattern());
+  ASSERT_TRUE(Probe.Valid);
+  std::vector<uint32_t> Rejected;
+  for (size_t I = 0; I < Keys.size(); I += 3) {
+    Keys[I][Probe.Pos] = Probe.Byte;
+    Rejected.push_back(static_cast<uint32_t>(I));
+  }
+  const std::vector<std::string_view> Views = views(Keys);
+  const uint64_t Admitted = Keys.size() - Rejected.size();
+  uint64_t Passes = 0, Misses = 0;
+  const auto ExpectCountersAdvanced = [&](const char *Api) {
+    EXPECT_EQ(Adaptive.guardPasses() - Passes, Admitted) << Api;
+    EXPECT_EQ(Adaptive.guardMisses() - Misses, Rejected.size()) << Api;
+    Passes = Adaptive.guardPasses();
+    Misses = Adaptive.guardMisses();
+  };
+
+  std::vector<AdaptiveHash::Routed> Routes;
+  for (const std::string &Key : Keys)
+    Routes.push_back(Adaptive.route(Key));
+  ExpectCountersAdvanced("route");
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    EXPECT_EQ(Routes[I].Hash, Adaptive(Keys[I])) << I;
+    EXPECT_EQ(Routes[I].Epoch, Adaptive.epoch()) << I;
+    EXPECT_EQ(Routes[I].Admitted, I % 3 != 0) << I;
+  }
+  ExpectCountersAdvanced("operator()");
+
+  std::vector<uint64_t> Routed(Keys.size()), Hashed(Keys.size());
+  std::vector<uint32_t> MissIdx(Keys.size());
+  uint64_t Epoch = ~0ull;
+  const size_t MissCount = Adaptive.routeBatch(
+      Views.data(), Routed.data(), Views.size(), MissIdx.data(), Epoch);
+  ExpectCountersAdvanced("routeBatch");
+  EXPECT_EQ(Epoch, Adaptive.epoch());
+  ASSERT_EQ(MissCount, Rejected.size());
+  MissIdx.resize(MissCount);
+  EXPECT_EQ(MissIdx, Rejected);
+  Adaptive.hashBatch(Views.data(), Hashed.data(), Views.size());
+  ExpectCountersAdvanced("hashBatch");
+  EXPECT_EQ(Routed, Hashed);
+  for (size_t I = 0; I != Keys.size(); ++I)
+    EXPECT_EQ(Routed[I], Routes[I].Hash) << I;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, AdaptiveFormatTest,
@@ -335,7 +378,6 @@ TEST(AdaptiveSwapTest, DriftTripsDetectorAndPumpSwaps) {
   AdaptiveOptions Options;
   Options.Background = false;
   Options.DriftWindow = 256;
-  Options.DriftThreshold = 0.02;
   AdaptiveHash Adaptive(paperKeyFormat(PaperKey::SSN).abstract(), Options);
   EXPECT_EQ(Adaptive.epoch(), 0u);
 
@@ -347,7 +389,7 @@ TEST(AdaptiveSwapTest, DriftTripsDetectorAndPumpSwaps) {
   Adaptive.hashBatch(Views.data(), Out.data(), Views.size());
 
   EXPECT_TRUE(Adaptive.resynthesisPending());
-  EXPECT_GT(Adaptive.windowMismatchRatio(), Options.DriftThreshold);
+  EXPECT_GT(Adaptive.windowMismatchRatio(), AdaptiveHash::DriftThreshold);
   ASSERT_TRUE(Adaptive.pumpResynthesis());
   EXPECT_EQ(Adaptive.epoch(), 1u);
   EXPECT_EQ(Adaptive.swaps(), 1u);
@@ -424,7 +466,6 @@ TEST(AdaptiveSwapTest, ColdStartLearnsPatternFromScratch) {
 TEST(AdaptiveSwapTest, TooFewSamplesRefusesToSwap) {
   AdaptiveOptions Options;
   Options.Background = false;
-  Options.MinSamples = 64;
   AdaptiveHash Adaptive(paperKeyFormat(PaperKey::SSN).abstract(), Options);
   const std::vector<std::string> Keys =
       drifted(formatKeys(PaperKey::SSN, 8), Adaptive.pattern());

@@ -127,38 +127,4 @@ TEST(LowMixTableTest, PreHashedEntryPointsMatchPlain) {
     EXPECT_EQ(Pre.contains(Keys[I]), I % 2 == 1);
 }
 
-/// Murmur xored with a seed: lets one hasher type express two genuinely
-/// different hash functions, which is what rehashWith swaps between.
-struct SeededHash {
-  size_t Seed = 0;
-  size_t operator()(const std::string &Key) const {
-    return MurmurStlHash{}(Key) ^ Seed;
-  }
-};
-
-TEST(LowMixTableTest, RehashWithPreservesMembership) {
-  // Swap the hasher out from under a populated table (the adaptive
-  // hot-swap migration, runtime/adaptive_hash.h): every membership and
-  // non-membership answer must survive the re-bucketing, under both
-  // bucket policies.
-  for (unsigned DiscardBits : {0u, 8u}) {
-    LowMixTable<std::string, SeededHash> Table{SeededHash{0}, DiscardBits};
-    std::vector<std::string> Keys;
-    for (int I = 0; I != 500; ++I)
-      Keys.push_back("key-" + std::to_string(I));
-    for (const std::string &K : Keys)
-      Table.insert(K);
-
-    Table.rehashWith(SeededHash{0x9e3779b97f4a7c15ULL});
-    EXPECT_EQ(Table.size(), Keys.size());
-    for (const std::string &K : Keys)
-      EXPECT_TRUE(Table.contains(K)) << "discard " << DiscardBits << ": "
-                                     << K;
-    EXPECT_FALSE(Table.contains("absent"));
-    EXPECT_TRUE(Table.erase(Keys[0]));
-    EXPECT_FALSE(Table.contains(Keys[0]))
-        << "post-swap erase goes through the new buckets";
-  }
-}
-
 } // namespace

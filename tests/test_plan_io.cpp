@@ -141,6 +141,14 @@ TEST(PlanIoTest, RejectsMalformedInput) {
       // length past 32 bits.
       "sepe-plan v1\nfamily OffXor\nlen 8 8\nstep 4294967296 0x1 0\n",
       "sepe-plan v1\nfamily OffXor\nlen 8 4294967304\nstep 0 0x1 0\n",
+      // A free-bit count, a skip entry and a tail start that each only
+      // fit after narrowing to 32 bits (to 12, 8 and 8).
+      "sepe-plan v1\nfamily Pext\nlen 8 8\nflags bijective\n"
+      "freebits 4294967308\nstep 0 0xfff 0\n",
+      "sepe-plan v1\nfamily OffXor\nlen 10 24\nflags variable\nfreebits 96\n"
+      "skip 0 4294967304\nskipmasks 0xffffffffffffffff\ntail 8\n",
+      "sepe-plan v1\nfamily OffXor\nlen 10 24\nflags variable\nfreebits 96\n"
+      "skip 0 8\nskipmasks 0xffffffffffffffff\ntail 4294967304\n",
       // A full load past the minimum key length, and a partial load off
       // offset 0.
       "sepe-plan v1\nfamily OffXor\nlen 11 11\nstep 4 0x1 0\n",

@@ -232,7 +232,6 @@ TEST(QualityMonitorTest, SampleTracksTheEpochAcrossASwap) {
   Options.Family = HashFamily::OffXor;
   Options.Background = false;
   Options.QualitySampleEvery = 1;
-  Options.MinSamples = 4;
   Options.DriftWindow = 64;
   Options.Cooldown = std::chrono::milliseconds(0);
   AdaptiveHash Hash(Format.abstract(), Options);

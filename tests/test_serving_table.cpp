@@ -124,10 +124,10 @@ TEST(ServingTableTest, BatchOpsMatchScalarAcrossBothLanes) {
     Views.push_back(Drifted[I]);
     Values.push_back(2 * I + 1);
   }
-  EXPECT_EQ(Table.putBatch(Views.data(), Values.data(), Views.size()),
-            Views.size());
-  EXPECT_EQ(Table.putBatch(Views.data(), Values.data(), Views.size()), 0u)
-      << "re-inserting the same batch";
+  for (size_t I = 0; I != Views.size(); ++I)
+    ASSERT_TRUE(Table.put(Views[I], Values[I]));
+  for (size_t I = 0; I != Views.size(); ++I)
+    ASSERT_FALSE(Table.put(Views[I], Values[I])) << "re-inserting " << I;
   EXPECT_EQ(Table.stats().FastSize, InFormat.size());
   EXPECT_EQ(Table.stats().SpillSize, Drifted.size());
 

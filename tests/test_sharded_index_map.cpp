@@ -168,10 +168,10 @@ TEST(ShardedIndexMapTest, BatchOpsMatchScalarOps) {
   for (size_t I = 0; I != Keys.size(); ++I)
     Values[I] = I * 3 + 1;
 
-  EXPECT_EQ(Map.putBatch(Views.data(), Values.data(), Views.size()),
-            Views.size());
-  EXPECT_EQ(Map.putBatch(Views.data(), Values.data(), Views.size()), 0u)
-      << "re-inserting the same batch";
+  for (size_t I = 0; I != Keys.size(); ++I)
+    ASSERT_TRUE(Map.put(Views[I], Values[I]));
+  for (size_t I = 0; I != Keys.size(); ++I)
+    ASSERT_FALSE(Map.put(Views[I], Values[I])) << "re-inserting " << I;
   EXPECT_EQ(Map.size(), Keys.size());
 
   std::vector<uint64_t> Out(Keys.size(), ~0ull);
@@ -255,14 +255,16 @@ TEST(ShardedIndexMapTest, LabeledBatchValidatesEpoch) {
   for (size_t I = 0; I != Keys.size(); ++I)
     Values[I] = I;
 
-  size_t Inserted = 0;
-  EXPECT_FALSE(Map.putBatchHashed(Views.data(), Images.data(),
-                                  Values.data(), Views.size(), 8,
-                                  Inserted));
-  EXPECT_EQ(Map.size(), 0u) << "stale batch insert must write nothing";
-  EXPECT_TRUE(Map.putBatchHashed(Views.data(), Images.data(), Values.data(),
-                                 Views.size(), 9, Inserted));
-  EXPECT_EQ(Inserted, Views.size());
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    bool Inserted = false;
+    ASSERT_FALSE(Map.putHashed(Views[I], Images[I], 8, Values[I], Inserted));
+  }
+  EXPECT_EQ(Map.size(), 0u) << "stale insert must write nothing";
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    bool Inserted = false;
+    ASSERT_TRUE(Map.putHashed(Views[I], Images[I], 9, Values[I], Inserted));
+    ASSERT_TRUE(Inserted);
+  }
 
   std::vector<uint64_t> Out(Keys.size());
   std::vector<uint8_t> Found(Keys.size());
