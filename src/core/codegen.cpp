@@ -392,11 +392,15 @@ std::string sepe::emitHashFunction(const HashPlan &Plan,
   Out += "/// Synthesized ";
   Out += familyName(Plan.Family);
   Out += " hash for keys of length ";
-  if (Plan.FixedLength)
+  if (Plan.FixedLength) {
     Out += std::to_string(Plan.MaxKeyLen);
-  else
-    Out += "[" + std::to_string(Plan.MinKeyLen) + ", " +
-           std::to_string(Plan.MaxKeyLen) + "]";
+  } else {
+    Out += '[';
+    Out += std::to_string(Plan.MinKeyLen);
+    Out += ", ";
+    Out += std::to_string(Plan.MaxKeyLen);
+    Out += ']';
+  }
   Out += " (" + std::to_string(Plan.FreeBits) + " free bits).\n";
   emitLine(Out, 0, "struct " + Name + " {");
   emitLine(Out, 1, "size_t operator()(const std::string &Key) const {");

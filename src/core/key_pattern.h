@@ -75,6 +75,11 @@ public:
     if (!FixedChecks.empty()) {
       if (Key.size() != MaxLen)
         return false;
+      // FixedChecks exist only when MaxLen >= 8 (buildWords). Saying so
+      // costs no instruction and lets the compiler drop this path for a
+      // shorter constant key instead of flagging its 8-byte loads.
+      if (Key.size() < 8)
+        __builtin_unreachable();
       const char *P = Key.data();
       for (const WordCheck &C : FixedChecks)
         if ((loadU64Le(P + C.Offset) & C.Mask) != C.Value)

@@ -88,12 +88,16 @@ std::string sepe::serializePlan(const HashPlan &Plan) {
 
   if (!Plan.Skip.Skip.empty()) {
     std::string Skip = "skip";
-    for (uint32_t S : Plan.Skip.Skip)
-      Skip += " " + std::to_string(S);
+    for (uint32_t S : Plan.Skip.Skip) {
+      Skip += ' ';
+      Skip += std::to_string(S);
+    }
     appendLine(Out, Skip);
     std::string Masks = "skipmasks";
-    for (uint64_t M : Plan.Skip.Masks)
-      Masks += " " + hex64(M);
+    for (uint64_t M : Plan.Skip.Masks) {
+      Masks += ' ';
+      Masks += hex64(M);
+    }
     appendLine(Out, Masks);
     appendLine(Out, "tail " + std::to_string(Plan.Skip.TailStart));
   }

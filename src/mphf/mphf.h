@@ -152,7 +152,8 @@ struct MphfPlan {
 /// The evaluator: maps each construction key to a distinct index in
 /// [0, n). Copyable and cheap to copy (shared plan). Out-of-set keys
 /// still produce an in-range index — membership is the caller's
-/// problem (DirectIndexMap adds a fingerprint check).
+/// problem (DirectIndexMap stores each slot's base image and compares
+/// it).
 class Mphf {
 public:
   Mphf() = default;
@@ -189,31 +190,18 @@ public:
   void baseBatch(const std::string_view *Keys, uint64_t *Out,
                  size_t N) const;
 
-  /// An MPHF index plus fingerprint material. FpWord is the final slot
-  /// hash word: fastRange keeps only its (value * range) high bits for
-  /// the slot, so the low bits are uniform even conditioned on the
-  /// slot — free membership-fingerprint bits with no extra mix on the
-  /// lookup path. Construction and lookup derive fingerprints from the
-  /// same word, so the pairing is stable.
-  struct SlotFp {
-    uint64_t Slot;
-    uint64_t FpWord;
-  };
-
-  /// The MPHF index (and fingerprint word) of a base image. Inline
-  /// because it sits on the lookup critical path of DirectIndexMap and
-  /// ServingTable's static lane: the per-key chains are independent,
-  /// so batch loops overlap them only when the body is visible to the
-  /// compiler.
-  SlotFp slotFpFromBase(uint64_t BaseImage) const {
+  /// The MPHF index of a base image. Inline because it sits on the
+  /// lookup critical path of DirectIndexMap: the per-key chains are
+  /// independent, so batch loops overlap them only when the body is
+  /// visible to the compiler.
+  uint64_t slotFromBase(uint64_t BaseImage) const {
     const MphfPlan &P = *Plan;
     const BucketRef &BR = BucketCache[bucketOf(mphfBucketHash(BaseImage))];
     uint32_t Off = BR.Off;
     uint32_t M = BR.Size;
-    // Out-of-set keys can land in an empty bucket; keep them in range
-    // (the base image as fingerprint word keeps rejection uniform).
+    // Out-of-set keys can land in an empty bucket; keep them in range.
     if (M == 0)
-      return {Off == P.N ? 0 : Off, BaseImage};
+      return Off == P.N ? 0 : Off;
     uint64_t Pilot = BR.RootPilot;
     // Common case at the builder's bucket size: the bucket IS a leaf, and
     // the cached root pilot means the lookup touched exactly one
@@ -233,12 +221,7 @@ public:
         Pilot = P.Pilots.get(Pi);
       } while (M > P.LeafMax);
     }
-    const uint64_t X = mphfSlotHash(BaseImage, Pilot);
-    return {Off + mphfFastRange(X, M), X};
-  }
-
-  uint64_t slotFromBase(uint64_t BaseImage) const {
-    return slotFpFromBase(BaseImage).Slot;
+    return Off + mphfFastRange(mphfSlotHash(BaseImage, Pilot), M);
   }
 
   /// Pulls the bucket metadata line for \p BaseImage into cache. Batch

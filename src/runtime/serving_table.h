@@ -40,21 +40,24 @@
 /// order above visits whichever lane it can be in.
 ///
 /// Sealed shards can go one step further: sealStatic() snapshots the
-/// present subset of a key list into a synthesized minimal perfect
-/// hash (mphf/mphf.h) and serves those keys as values[mphf(key)] —
-/// one fingerprint check plus one key compare, no probing, no locks.
-/// The static lane is a pure cache in front of the dynamic lanes:
-/// out-of-set keys fall through (the key compare keeps the table
-/// exact even on a fingerprint false positive), puts of new keys
-/// simply miss it, and put() never overwrites a present key, so the
-/// only mutation that can make a sealed value stale is erase() of a
-/// sealed key — which atomically invalidates the whole lane.
+/// present, in-format subset of a key list into a DirectIndexMap
+/// (container/direct_index_map.h) over a synthesized minimal perfect
+/// hash and serves those keys as values[mphf(key)] — a pattern check,
+/// one image compare, no probing, no locks. The lane is sealed only
+/// under a generation whose plan is invertible for its pattern, so an
+/// admitted key's image identifies it and the compare is exact without
+/// storing keys. The static lane is a pure cache in front of the
+/// dynamic lanes: out-of-set keys fall through, puts of new keys simply
+/// miss it, and put() never overwrites a present key, so the only
+/// mutation that can make a sealed value stale is erase() of a sealed
+/// key — which atomically invalidates the whole lane.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEPE_RUNTIME_SERVING_TABLE_H
 #define SEPE_RUNTIME_SERVING_TABLE_H
 
+#include "container/direct_index_map.h"
 #include "container/sharded_index_map.h"
 #include "mphf/mphf.h"
 #include "runtime/adaptive_hash.h"
@@ -123,55 +126,48 @@ public:
   /// True while a sealed static lane is serving.
   bool staticLaneActive() const { return staticLane() != nullptr; }
 
-  /// Seals the *present* subset of \p Keys (distinct) into a static
-  /// MPHF-backed lane probed before every dynamic lane: one array load
-  /// gated by a fingerprint check and an exact key compare. The
-  /// extraction front-end reuses the adaptive hash's current bijective
-  /// plan when one exists, so the MPHF distinguishes exactly the
-  /// format's varying bits. Returns the number of keys sealed; 0 when
-  /// none were present or MPHF construction failed (the table keeps
-  /// serving from the dynamic lanes either way). Concurrent gets/puts
-  /// are safe during the call; concurrent erases of the keys being
-  /// sealed are not — seal quiescent shards.
+  /// Seals the *present* subset of \p Keys (distinct) that the current
+  /// generation's pattern admits into a static lane probed before every
+  /// dynamic lane: a DirectIndexMap whose MPHF images keys through the
+  /// generation's own plan. Declines (returns 0) unless that plan is
+  /// invertible for the pattern, which is what makes an image hit
+  /// exact; keys the pattern rejects stay in the spill lane. Returns the
+  /// number of keys sealed; 0 when none were present or MPHF
+  /// construction failed (the table keeps serving from the dynamic
+  /// lanes either way). Concurrent gets/puts are safe during the call;
+  /// concurrent erases of the keys being sealed are not — seal
+  /// quiescent shards.
   size_t sealStatic(const std::string_view *Keys, size_t N) {
     std::lock_guard<std::mutex> Lock(MaintainMutex);
-    std::vector<std::string> SealedKeys;
+    const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
+    if (!Snap.Fast.valid() || !invertible(Snap.Fast.plan(), Snap.Pattern))
+      return 0;
+    std::vector<std::string_view> SealedKeys;
     std::vector<Value> SealedValues;
     SealedKeys.reserve(N);
     SealedValues.reserve(N);
     for (size_t I = 0; I != N; ++I) {
       Value V;
-      if (getDynamic(Keys[I], V)) {
-        SealedKeys.emplace_back(Keys[I]);
+      if (Snap.Pattern.matches(Keys[I]) && getDynamic(Keys[I], V)) {
+        SealedKeys.push_back(Keys[I]);
         SealedValues.push_back(std::move(V));
       }
     }
     if (SealedKeys.empty())
       return 0;
     MphfBuildOptions Options;
-    const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
-    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective)
-      Options.Extract = std::make_shared<const HashPlan>(Snap.Fast.plan());
-    std::vector<std::string_view> Views(SealedKeys.begin(),
-                                        SealedKeys.end());
-    Expected<Mphf> F = buildMphf(Views, Options);
-    if (!F) {
+    Options.Extract = std::make_shared<const HashPlan>(Snap.Fast.plan());
+    Expected<Mphf> F = buildMphf(SealedKeys, Options);
+    std::unique_ptr<const DirectIndexMap<Value>> Lane;
+    if (F && !F->plan().RawBase)
+      Lane = std::make_unique<const DirectIndexMap<Value>>(
+          F.take(), Snap.Pattern, SealedKeys.data(), SealedValues.data(),
+          SealedKeys.size());
+    if (!Lane || !Lane->valid()) {
       SEPE_COUNT("serving_table.static.seal_failed");
       return 0;
     }
-    auto Lane = std::make_unique<StaticLane>();
-    Lane->F = F.take();
-    const size_t Count = SealedKeys.size();
-    Lane->Fp.assign(Count, 0);
-    Lane->Keys.resize(Count);
-    Lane->Values.resize(Count);
-    for (size_t I = 0; I != Count; ++I) {
-      const Mphf::SlotFp SF =
-          Lane->F.slotFpFromBase(Lane->F.baseImage(SealedKeys[I]));
-      Lane->Fp[SF.Slot] = static_cast<uint8_t>(SF.FpWord);
-      Lane->Keys[SF.Slot] = std::move(SealedKeys[I]);
-      Lane->Values[SF.Slot] = std::move(SealedValues[I]);
-    }
+    const size_t Count = Lane->size();
     StaticPtr.store(Lane.get(), std::memory_order_release);
     StaticStorage.push_back(std::move(Lane));
     SEPE_EVENT("serving.static.seal", Count, 0);
@@ -192,9 +188,12 @@ public:
 
   /// Copies the value for \p Key into \p Out; false when absent.
   bool get(std::string_view Key, Value &Out) const {
-    if (const StaticLane *S = staticLane(); S && S->find(Key, Out)) {
-      SEPE_COUNT("serving_table.static.hit");
-      return true;
+    if (const DirectIndexMap<Value> *S = staticLane()) {
+      if (const Value *Hit = S->find(Key)) {
+        SEPE_COUNT("serving_table.static.hit");
+        Out = *Hit;
+        return true;
+      }
     }
     return getDynamic(Key, Out);
   }
@@ -244,7 +243,7 @@ public:
     // before returning, so a get() ordered after this erase cannot be
     // served the sealed copy. Storage is retired, not freed.
     if (Erased) {
-      if (const StaticLane *S = staticLane(); S && S->contains(Key)) {
+      if (const DirectIndexMap<Value> *S = staticLane(); S && S->find(Key)) {
         StaticPtr.store(nullptr, std::memory_order_release);
         SEPE_COUNT("serving_table.static.invalidated");
       }
@@ -259,19 +258,20 @@ public:
   size_t getBatch(const std::string_view *Keys, Value *Out, uint8_t *Found,
                   size_t N) const {
     // Sealed tables serve most traffic from the static lane: batch the
-    // base images through the MPHF's fused kernels and let only the
+    // lookups through DirectIndexMap::findBatch and let only the
     // residue (out-of-set keys, unsealed inserts) take the dynamic
     // path per key.
-    if (const StaticLane *S = staticLane()) {
-      uint64_t Bases[RouteBlock];
+    if (const DirectIndexMap<Value> *S = staticLane()) {
+      const Value *Sealed[RouteBlock];
       size_t Hits = 0;
       for (size_t Base = 0; Base < N; Base += RouteBlock) {
         const size_t Count = std::min(RouteBlock, N - Base);
-        S->F.baseBatch(Keys + Base, Bases, Count);
+        S->findBatch(Keys + Base, Sealed, Count);
         for (size_t I = 0; I != Count; ++I) {
           const size_t K = Base + I;
-          if (S->findFromBase(Bases[I], Keys[K], Out[K])) {
+          if (Sealed[I]) {
             SEPE_COUNT("serving_table.static.hit");
+            Out[K] = *Sealed[I];
             Found[K] = 1;
             ++Hits;
           } else if (getDynamic(Keys[K], Out[K])) {
@@ -394,9 +394,9 @@ public:
     const ShardedIndexMap<Value> *F = fast();
     Stats S;
     S.FastLane = F != nullptr;
-    const StaticLane *SL = staticLane();
+    const DirectIndexMap<Value> *SL = staticLane();
     S.StaticActive = SL != nullptr;
-    S.StaticSize = SL ? SL->Keys.size() : 0;
+    S.StaticSize = SL ? SL->size() : 0;
     S.FastSize = F ? F->size() : 0;
     S.SpillSize = SpillCount.load(std::memory_order_relaxed);
     S.FastEpoch = F ? F->epoch() : 0;
@@ -444,40 +444,7 @@ private:
         Map;
   };
 
-  /// The sealed static lane: values[mphf(key)] plus an 8-bit
-  /// fingerprint that rejects nearly every out-of-set key before the
-  /// exact key compare. The compare is what keeps the table exact — a
-  /// fingerprint false positive (~2^-8 of out-of-set probes) just
-  /// falls through to the dynamic lanes instead of serving a wrong
-  /// value, which a bare DirectIndexMap would.
-  struct StaticLane {
-    Mphf F;
-    std::vector<uint8_t> Fp;
-    std::vector<std::string> Keys;
-    std::vector<Value> Values;
-
-    bool findFromBase(uint64_t Base, std::string_view Key,
-                      Value &Out) const {
-      const Mphf::SlotFp SF = F.slotFpFromBase(Base);
-      if (Fp[SF.Slot] != static_cast<uint8_t>(SF.FpWord) ||
-          Keys[SF.Slot] != Key)
-        return false;
-      Out = Values[SF.Slot];
-      return true;
-    }
-
-    bool find(std::string_view Key, Value &Out) const {
-      return findFromBase(F.baseImage(Key), Key, Out);
-    }
-
-    bool contains(std::string_view Key) const {
-      const Mphf::SlotFp SF = F.slotFpFromBase(F.baseImage(Key));
-      return Fp[SF.Slot] == static_cast<uint8_t>(SF.FpWord) &&
-             Keys[SF.Slot] == Key;
-    }
-  };
-
-  const StaticLane *staticLane() const {
+  const DirectIndexMap<Value> *staticLane() const {
     return StaticPtr.load(std::memory_order_acquire);
   }
 
@@ -609,8 +576,8 @@ private:
   /// destruction so a concurrent reader never touches a freed lane —
   /// the same retire-until-destruction discipline the JIT rung uses
   /// for old code buffers.
-  std::atomic<const StaticLane *> StaticPtr{nullptr};
-  std::vector<std::unique_ptr<const StaticLane>> StaticStorage;
+  std::atomic<const DirectIndexMap<Value> *> StaticPtr{nullptr};
+  std::vector<std::unique_ptr<const DirectIndexMap<Value>>> StaticStorage;
 
   mutable std::array<SpillShard, SpillShardCount> Spill{};
   std::atomic<size_t> SpillCount{0};

@@ -10,10 +10,10 @@
 /// experiment replays, and the FlatIndexMap/LowMixTable probe
 /// schedules — with warmup plus repeated trials, robust statistics
 /// (median, MAD, coefficient of variation; trials beyond 5 MADs of the
-/// median are discarded), and, when `perf_event_open` is usable, a
-/// PMU-instrumented pass per workload reporting cycles/key, IPC and
-/// miss rates. Everything lands in one consolidated BENCH_suite.json
-/// through the shared bench envelope.
+/// median are discarded), and, in a -DSEPE_TELEMETRY=ON build, one
+/// instrumented pass per workload whose telemetry section rides along
+/// with its stats. Everything lands in one consolidated
+/// BENCH_suite.json through the shared bench envelope.
 ///
 ///   sepebench [--trials=N] [--warmup=N] [--full] [--json=FILE]
 ///             [--keys=SSN,IPv4,...] [--filter=SUBSTR] [--path=RUNG]
@@ -50,7 +50,6 @@
 #include "stats/descriptive.h"
 #include "support/bench_compare.h"
 #include "support/json.h"
-#include "support/perf_counters.h"
 #include "support/telemetry.h"
 
 #include <atomic>
@@ -222,7 +221,8 @@ bool parseSuiteOptions(int Argc, char **Argv, SuiteOptions &Options) {
 // --- Workloads -------------------------------------------------------------
 
 /// One suite entry: a closure that runs a single timed trial and
-/// returns the value in Unit; UnitsPerTrial feeds cycles/key.
+/// returns the value in Unit; UnitsPerTrial (keys or ops per trial)
+/// is recorded in the report.
 struct SuiteWorkload {
   std::string Name;
   std::string Unit;
@@ -602,7 +602,8 @@ void addMphfWorkloads(std::vector<SuiteWorkload> &Suite,
   for (size_t I = 0; I != Vals.size(); ++I)
     Vals[I] = static_cast<uint32_t>(I);
   auto Map = std::make_shared<DirectIndexMap<uint32_t>>(
-      F.take(), Fixture.Views->data(), Vals.data(), Vals.size());
+      F.take(), paperKeyFormat(Fixture.Key).abstract(),
+      Fixture.Views->data(), Vals.data(), Vals.size());
   if (!Map->valid())
     return;
 
@@ -695,7 +696,8 @@ void addMphfScaleWorkloads(std::vector<SuiteWorkload> &Suite, bool Full) {
       Expected<Mphf> F = buildMphf(*Views, Options);
       if (!F)
         return 0.0;
-      DirectIndexMap<uint32_t> Map(F.take(), Views->data(), Vals->data(),
+      DirectIndexMap<uint32_t> Map(F.take(), Format.abstract(),
+                                   Views->data(), Vals->data(),
                                    Views->size());
       asm volatile("" : : "r"(Map.valid()) : "memory");
       return nowMs() - Start;
@@ -722,7 +724,8 @@ void addMphfScaleWorkloads(std::vector<SuiteWorkload> &Suite, bool Full) {
       Expected<Mphf> F = buildMphf(*Views, Options);
       if (F) {
         auto Map = std::make_shared<DirectIndexMap<uint32_t>>(
-            F.take(), Views->data(), Vals->data(), Views->size());
+            F.take(), Format.abstract(), Views->data(), Vals->data(),
+            Views->size());
         if (Map->valid()) {
           SuiteWorkload Direct;
           Direct.Name = Group + "direct";
@@ -1068,7 +1071,6 @@ struct WorkloadResult {
   std::vector<double> Trials;
   std::vector<double> Kept;
   double Median = 0, Mad = 0, Cv = 0, Min = 0, Max = 0;
-  perf::CounterReading Pmu;
   /// Telemetry registry snapshot of the instrumented pass alone (the
   /// registry is reset before it, so sections don't accumulate across
   /// workloads). The compiled-out shim JSON when -DSEPE_TELEMETRY=OFF.
@@ -1102,7 +1104,7 @@ void reduce(WorkloadResult &Result) {
 /// dominant cross-run drift source for back-to-back compares.
 std::vector<WorkloadResult>
 runSuiteTrials(const std::vector<SuiteWorkload> &Suite,
-               const SuiteOptions &Options, perf::CounterGroup &Counters) {
+               const SuiteOptions &Options) {
   std::vector<WorkloadResult> Results(Suite.size());
   for (size_t I = 0; I != Suite.size(); ++I)
     Results[I].Work = &Suite[I];
@@ -1114,23 +1116,17 @@ runSuiteTrials(const std::vector<SuiteWorkload> &Suite,
       Results[I].Trials.push_back(Suite[I].Run());
   for (WorkloadResult &Result : Results) {
     reduce(Result);
-    if (Counters.live() || telemetry::compiledIn()) {
+    if (telemetry::compiledIn()) {
       // One extra instrumented pass; its wall time is not a trial, so
-      // the PMU read and telemetry recording cannot perturb the
-      // reported medians. These passes are the only time the plane is
-      // on, so they are also all --trace ever writes. The registry is
-      // reset before the pass so each workload's telemetry section
-      // covers that pass alone instead of accumulating across the
-      // suite.
+      // telemetry recording cannot perturb the reported medians. These
+      // passes are the only time the plane is on, so they are also all
+      // --trace ever writes. The registry is reset before the pass so
+      // each workload's telemetry section covers that pass alone
+      // instead of accumulating across the suite.
       const bool TelemetryWasOn = telemetry::enabled();
       telemetry::resetAll();
       telemetry::setEnabled(true);
-      if (Counters.live()) {
-        perf::ScopedCounters Scope(Counters, Result.Pmu);
-        (void)Result.Work->Run();
-      } else {
-        (void)Result.Work->Run();
-      }
+      (void)Result.Work->Run();
       Result.Telemetry = telemetry::toJson();
       telemetry::setEnabled(TelemetryWasOn);
     }
@@ -1155,8 +1151,7 @@ void writeWorkloadJson(std::FILE *F, const WorkloadResult &Result,
                Result.Kept.size());
   for (size_t I = 0; I != Result.Trials.size(); ++I)
     std::fprintf(F, "%s%.4f", I == 0 ? "" : ", ", Result.Trials[I]);
-  std::fprintf(F, "],\n     \"pmu\": %s,\n     \"telemetry\": %s}%s\n",
-               Result.Pmu.toJson(Result.Work->UnitsPerTrial).c_str(),
+  std::fprintf(F, "],\n     \"telemetry\": %s}%s\n",
                Result.Telemetry.c_str(), Last ? "" : ",");
 }
 
@@ -1170,26 +1165,16 @@ int runSuite(const SuiteOptions &Options) {
   }
 
   std::printf("== sepebench ==\n%zu workloads, %zu trials + %zu warmup "
-              "each (%s mode)\npmu: %s\n\n",
+              "each (%s mode)\n\n",
               Suite.size(), Options.Trials, Options.Warmup,
-              Options.Full ? "full" : "quick",
-              perf::available() ? "available"
-                                : perf::unavailableReason().c_str());
+              Options.Full ? "full" : "quick");
 
-  perf::CounterGroup Counters;
-  const std::vector<WorkloadResult> Results =
-      runSuiteTrials(Suite, Options, Counters);
-  TextTable Table({"Workload", "Unit", "Median", "MAD", "CV", "cyc/unit",
-                   "IPC"});
+  const std::vector<WorkloadResult> Results = runSuiteTrials(Suite, Options);
+  TextTable Table({"Workload", "Unit", "Median", "MAD", "CV"});
   for (const WorkloadResult &Result : Results) {
     const SuiteWorkload &Work = *Result.Work;
-    Table.addRow(
-        {Work.Name, Work.Unit, formatDouble(Result.Median, 4),
-         formatDouble(Result.Mad, 4), formatDouble(Result.Cv, 3),
-         Result.Pmu.Valid
-             ? formatDouble(Result.Pmu.cyclesPer(Work.UnitsPerTrial), 1)
-             : "-",
-         Result.Pmu.Valid ? formatDouble(Result.Pmu.ipc(), 2) : "-"});
+    Table.addRow({Work.Name, Work.Unit, formatDouble(Result.Median, 4),
+                  formatDouble(Result.Mad, 4), formatDouble(Result.Cv, 3)});
   }
   std::printf("%s\n", Table.str().c_str());
 
@@ -1197,11 +1182,9 @@ int runSuite(const SuiteOptions &Options) {
   if (!F)
     return 1;
   std::fprintf(F, "  \"mode\": \"%s\",\n  \"trials\": %zu,\n"
-               "  \"warmup\": %zu,\n  \"pmu_available\": %s,\n"
-               "  \"pmu_reason\": \"%s\",\n  \"workloads\": [\n",
+               "  \"warmup\": %zu,\n  \"workloads\": [\n",
                Options.Full ? "full" : "quick", Options.Trials,
-               Options.Warmup, perf::available() ? "true" : "false",
-               json::escapeString(perf::unavailableReason()).c_str());
+               Options.Warmup);
   for (size_t I = 0; I != Results.size(); ++I)
     writeWorkloadJson(F, Results[I], I + 1 == Results.size());
   std::fprintf(F, "  ],\n");

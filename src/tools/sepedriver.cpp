@@ -27,7 +27,6 @@
 #include "runtime/adaptive_hash.h"
 #include "support/cpu_features.h"
 #include "support/json.h"
-#include "support/perf_counters.h"
 #include "support/resource_usage.h"
 #include "support/telemetry.h"
 
@@ -73,9 +72,7 @@ void printUsage(const char *Argv0) {
       "                        telemetry registry (counters,\n"
       "                        histograms, spans; needs a\n"
       "                        -DSEPE_TELEMETRY=ON build for non-empty\n"
-      "                        data), PMU counters for the experiment\n"
-      "                        loop when perf_event_open works here,\n"
-      "                        and getrusage resource totals\n"
+      "                        data) and getrusage resource totals\n"
       "  --trace=FILE.json     turn the telemetry plane on and write its\n"
       "                        flight recorder as Chrome-trace JSON\n"
       "                        (load in chrome://tracing or Perfetto;\n"
@@ -396,7 +393,8 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
               static_cast<unsigned long long>(Report.MaxIndex),
               Report.perfect() ? "minimal perfect" : "BROKEN");
 
-  const DirectIndexMap<uint32_t> Direct(*F, Views.data(), Values.data(), N);
+  const DirectIndexMap<uint32_t> Direct(*F, Spec.abstract(), Views.data(),
+                                        Values.data(), N);
   if (!Direct.valid()) {
     std::fprintf(stderr, "error: DirectIndexMap rejected the MPHF\n");
     return 1;
@@ -441,11 +439,11 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
   asm volatile("" : : "r"(Sink) : "memory");
 
   std::printf("lookup (%zu pass%s):\n"
-              "  direct        %8.3f ns/key  (%zu fingerprint bytes + "
+              "  direct        %8.3f ns/key  (%zu image bytes + "
               "values)\n"
               "  direct batch  %8.3f ns/key\n",
               Passes, Passes == 1 ? "" : "es", DirectNs,
-              static_cast<size_t>(N), DirectBatchNs);
+              N * sizeof(uint64_t), DirectBatchNs);
   if (FlatNs >= 0)
     std::printf("  flat          %8.3f ns/key  (FlatIndexMap, build "
                 "%.2f ms)\n",
@@ -666,39 +664,18 @@ int main(int Argc, char **Argv) {
   }
   std::printf("\n\n");
 
-  // The whole experiment loop runs under one PMU group (when the
-  // kernel lets us open one); the reading lands in the pmu.driver.*
-  // telemetry counters so --metrics carries it.
-  perf::CounterGroup Counters;
-  perf::CounterReading Pmu;
   TextTable Table(
       {"Function", "B-Time (ms)", "H-Time (ms)", "B-Coll", "T-Coll"});
-  {
-    perf::ScopedCounters Scope(Counters, Pmu);
-    for (HashKind Kind : AllHashKinds) {
-      if (Isa != IsaLevel::Native && Kind == HashKind::Pext)
-        continue; // No bext on this target (RQ4).
-      const ExperimentResult Result =
-          runExperiment(Work, Config, Kind, Set);
-      Table.addRow({hashKindName(Kind), formatDouble(Result.BTimeMs),
-                    formatDouble(Result.HTimeMs, 4),
-                    std::to_string(Result.BucketCollisions),
-                    std::to_string(Result.TrueCollisions)});
-    }
+  for (HashKind Kind : AllHashKinds) {
+    if (Isa != IsaLevel::Native && Kind == HashKind::Pext)
+      continue; // No bext on this target (RQ4).
+    const ExperimentResult Result = runExperiment(Work, Config, Kind, Set);
+    Table.addRow({hashKindName(Kind), formatDouble(Result.BTimeMs),
+                  formatDouble(Result.HTimeMs, 4),
+                  std::to_string(Result.BucketCollisions),
+                  std::to_string(Result.TrueCollisions)});
   }
-  perf::recordToTelemetry("driver", Pmu);
   std::printf("%s", Table.str().c_str());
-  if (Pmu.Valid)
-    std::printf("\npmu (experiment loop): %.0fM cycles, %.0fM "
-                "instructions, IPC %.2f, branch miss %.2f%%, cache miss "
-                "%.2f%%%s\n",
-                static_cast<double>(Pmu.Cycles) / 1e6,
-                static_cast<double>(Pmu.Instructions) / 1e6, Pmu.ipc(),
-                Pmu.branchMissRate() * 100, Pmu.cacheMissRate() * 100,
-                Pmu.Multiplexed ? " (multiplexed)" : "");
-  else
-    std::printf("\npmu: unavailable (%s)\n",
-                perf::unavailableReason().c_str());
 
   if (Config.Mode == ExecMode::Batched) {
     // The batch-kernel ladder: the same scheduled keys hashed through
@@ -746,11 +723,8 @@ int main(int Argc, char **Argv) {
                    MetricsPath.c_str());
       return 1;
     }
-    std::fprintf(Out,
-                 "{\n\"telemetry\": %s,\n\"pmu\": %s,\n"
-                 "\"resources\": %s\n}\n",
-                 telemetry::toJson().c_str(), Pmu.toJson().c_str(),
-                 Usage.toJson().c_str());
+    std::fprintf(Out, "{\n\"telemetry\": %s,\n\"resources\": %s\n}\n",
+                 telemetry::toJson().c_str(), Usage.toJson().c_str());
     std::fclose(Out);
     std::printf("metrics written to %s\n", MetricsPath.c_str());
   }

@@ -163,8 +163,9 @@ TEST(BatchDispatchTest, ResolutionRespectsIsaCeiling) {
           EXPECT_TRUE(Resolved == "scalar" || Resolved == "interleaved" ||
                       Resolved == "avx2" || Resolved == "jit")
               << Label << " resolved " << Resolved;
-          if (Preferred == BatchPath::Scalar)
+          if (Preferred == BatchPath::Scalar) {
             EXPECT_EQ(Resolved, "scalar") << Label;
+          }
           if (Isa != IsaLevel::Native) {
             EXPECT_NE(Resolved, "avx2")
                 << Label << ": wide kernels require the Native ceiling";
@@ -365,9 +366,10 @@ TEST_P(FusedGuardEquivalence, AgreesWithMembershipOracle) {
     OracleMisses += !InFormat;
     EXPECT_EQ(Missed[I], !InFormat)
         << paperKeyName(Key) << " key[" << I << "]";
-    if (InFormat)
+    if (InFormat) {
       EXPECT_EQ(Out[I], Hash(Views[I]))
           << paperKeyName(Key) << " key[" << I << "]";
+    }
   }
   EXPECT_EQ(Misses, OracleMisses);
 }

@@ -256,9 +256,10 @@ TEST(FlatIndexMapTest, RehashKeepsPreHashedEntriesReachable) {
   for (size_t I = 0; I != Images.size(); ++I) {
     ASSERT_TRUE(Map.insertHashed(Images[I], I));
     // Every entry inserted so far stays reachable across each growth.
-    if ((I & 1023) == 1023)
+    if ((I & 1023) == 1023) {
       for (size_t J = 0; J <= I; J += 97)
         ASSERT_NE(Map.findHashed(Images[J]), nullptr) << I << "/" << J;
+    }
   }
   EXPECT_GT(Map.capacity(), Initial) << "test must exercise growth";
 
@@ -430,8 +431,9 @@ TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
     const uint32_t *Mine = Map.find(Key);
     const auto Theirs = Mirror.find(Key);
     ASSERT_EQ(Mine != nullptr, Theirs != Mirror.end()) << Key;
-    if (Mine != nullptr)
+    if (Mine != nullptr) {
       ASSERT_EQ(*Mine, Theirs->second) << Key;
+    }
   };
 
   for (size_t Step = 0; Step != 4000; ++Step) {
@@ -487,7 +489,8 @@ TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
     const uint32_t *Mine = Map.findHashed(Images[I]);
     const auto Theirs = Mirror.find(Keys[I]);
     ASSERT_EQ(Mine != nullptr, Theirs != Mirror.end()) << Keys[I];
-    if (Mine != nullptr)
+    if (Mine != nullptr) {
       ASSERT_EQ(*Mine, Theirs->second);
+    }
   }
 }

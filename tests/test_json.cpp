@@ -131,7 +131,10 @@ TEST(Json, EscapeStringRoundTripsEveryByte) {
   std::string All;
   for (int B = 0; B != 256; ++B)
     All += static_cast<char>(B);
-  const json::Value Doc = parseOk("\"" + json::escapeString(All) + "\"");
+  std::string Quoted(1, '"');
+  Quoted += json::escapeString(All);
+  Quoted += '"';
+  const json::Value Doc = parseOk(Quoted);
   EXPECT_EQ(Doc.string(), All);
 }
 

@@ -66,7 +66,7 @@ TEST(LowMixTableTest, ZeroDiscardBehavesLikeModulo) {
   // the birthday bound.
   LowMixTable<std::string, MurmurStlHash> Table{MurmurStlHash{}, 0, 4096};
   for (int I = 0; I != 1000; ++I)
-    Table.insert("k" + std::to_string(I));
+    Table.insert(std::string("k").append(std::to_string(I)));
   EXPECT_LT(Table.bucketCollisions(), 300u);
 }
 

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <random>
@@ -302,9 +305,9 @@ TEST(ServingTableStaticTest, SealStaticServesSealedKeysExactly) {
       ASSERT_TRUE(Table.get(Keys[I], V)) << Keys[I];
       ASSERT_EQ(V, I);
     }
-    // Out-of-set keys must miss: the exact key compare catches any
-    // fingerprint false positive, so the static lane never serves a
-    // wrong value.
+    // Out-of-set keys must miss: under an invertible plan the lane's
+    // image compare is exact, so the static lane never serves a wrong
+    // value.
     const std::vector<std::string> Absent = distinctKeys(SsnRegex, 500, 12);
     for (const std::string &Key : Absent) {
       uint64_t V = 0;
@@ -332,8 +335,8 @@ TEST(ServingTableStaticTest, SealStaticServesSealedKeysExactly) {
 
 TEST(ServingTableStaticTest, SealSnapshotsPresentSubsetAcrossBothLanes) {
   // The seal list may name absent keys (skipped) and spill-lane keys
-  // (sealed like any present key: the MPHF's raw-byte fallback handles
-  // out-of-format keys).
+  // (left in the spill lane: the pattern rejects them, so no image can
+  // identify them).
   ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
   const std::vector<std::string> InFormat = distinctKeys(SsnRegex, 100, 21);
   for (size_t I = 0; I != InFormat.size(); ++I)
@@ -343,8 +346,8 @@ TEST(ServingTableStaticTest, SealSnapshotsPresentSubsetAcrossBothLanes) {
   std::vector<std::string_view> SealList(InFormat.begin(), InFormat.end());
   SealList.push_back("not-an-ssn-at-all");
   SealList.push_back("999-99-9999"); // Never inserted.
-  EXPECT_EQ(Table.sealStatic(SealList), InFormat.size() + 1);
-  EXPECT_EQ(Table.stats().StaticSize, InFormat.size() + 1);
+  EXPECT_EQ(Table.sealStatic(SealList), InFormat.size());
+  EXPECT_EQ(Table.stats().StaticSize, InFormat.size());
 
   uint64_t V = 0;
   ASSERT_TRUE(Table.get("not-an-ssn-at-all", V));
@@ -360,6 +363,109 @@ TEST(ServingTableStaticTest, SealSnapshotsPresentSubsetAcrossBothLanes) {
   EXPECT_FALSE(Table.put(InFormat[0], 1000)) << "first insert still wins";
   ASSERT_TRUE(Table.get(InFormat[0], V));
   EXPECT_EQ(V, 0u);
+}
+
+TEST(ServingTableStaticTest, ConstantByteAliasMissesTheSealedLane) {
+  // The SSN plan extracts only the digits, so a sealed key with its
+  // first '-' turned into '+' has the sealed key's image. Only the
+  // lane's pattern check tells them apart.
+  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 61);
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Table.put(Keys[I], I);
+  ASSERT_EQ(Table.sealStatic(Views), Keys.size());
+  std::string Alias = Keys[5];
+  ASSERT_EQ(Alias[3], '-');
+  Alias[3] = '+';
+  std::string_view AliasView = Alias;
+
+  uint64_t V = 0;
+  uint8_t Found = 9;
+  EXPECT_FALSE(Table.get(Alias, V));
+  EXPECT_EQ(Table.getBatch(&AliasView, &V, &Found, 1), 0u);
+  EXPECT_EQ(Found, 0);
+
+  EXPECT_TRUE(Table.put(Alias, 4242));
+  ASSERT_TRUE(Table.get(Alias, V));
+  EXPECT_EQ(V, 4242u) << "served the sealed key's value";
+  EXPECT_EQ(Table.getBatch(&AliasView, &V, &Found, 1), 1u);
+  EXPECT_EQ(V, 4242u) << "served the sealed key's value";
+
+  EXPECT_TRUE(Table.erase(Alias));
+  EXPECT_TRUE(Table.staticLaneActive()) << "the alias is not sealed";
+  EXPECT_FALSE(Table.get(Alias, V));
+  ASSERT_TRUE(Table.get(Keys[5], V));
+  EXPECT_EQ(V, 5u);
+}
+
+TEST(ServingTableStaticTest, SealDeclinesWithoutAnInvertiblePlan) {
+  // Neither generation's plan is invertible, so an image cannot
+  // identify a key: the seal declines and the dynamic lanes serve.
+  const auto ExpectDecline = [](const std::string &Regex,
+                                const AdaptiveOptions &Options,
+                                const std::vector<std::string> &Keys) {
+    SCOPED_TRACE(Regex);
+    ServingTable<uint64_t> Table(patternOf(Regex), Options);
+    std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+    for (size_t I = 0; I != Keys.size(); ++I)
+      Table.put(Keys[I], I);
+    EXPECT_EQ(Table.sealStatic(Views), 0u);
+    EXPECT_FALSE(Table.staticLaneActive());
+    EXPECT_EQ(Table.stats().StaticSize, 0u);
+    for (size_t I = 0; I != Keys.size(); ++I) {
+      uint64_t V = ~0ull;
+      ASSERT_TRUE(Table.get(Keys[I], V)) << Keys[I];
+      ASSERT_EQ(V, I);
+    }
+  };
+  // Not a bijective family.
+  AdaptiveOptions OffXor = servingOptions();
+  OffXor.Family = HashFamily::OffXor;
+  ExpectDecline(SsnRegex, OffXor, distinctKeys(SsnRegex, 200, 71));
+  // A variable-length pattern: 4 to 10 bytes.
+  std::vector<std::string> VarKeys;
+  for (size_t I = 0; I != 200; ++I)
+    VarKeys.push_back(std::string{static_cast<char>('a' + I % 26),
+                                  static_cast<char>('a' + I / 26), 'z',
+                                  'z'} +
+                      std::string(I % 7, 'x'));
+  ExpectDecline(R"([a-z]{4}(.){0,6})", servingOptions(), VarKeys);
+}
+
+TEST(ServingTableStaticTest, ShortKeyAtAPageEndNeverReachesThePlan) {
+  // The SSN plan's kernels load 8-byte words at offsets up to 3 without
+  // looking at the key's length. A 2-byte key that ends where an
+  // unreadable page begins faults if any lookup images it before the
+  // lane's pattern check.
+  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 81);
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Table.put(Keys[I], I);
+  ASSERT_EQ(Table.sealStatic(Views), Keys.size());
+
+  const size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  void *Map = mmap(nullptr, 2 * Page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(Map, MAP_FAILED);
+  char *PageEnd = static_cast<char *>(Map) + Page;
+  ASSERT_EQ(mprotect(PageEnd, Page, PROT_NONE), 0);
+  PageEnd[-2] = '1';
+  PageEnd[-1] = '2';
+  std::string_view Short(PageEnd - 2, 2);
+
+  uint64_t V = 0;
+  uint8_t Found = 9;
+  EXPECT_FALSE(Table.get(Short, V));
+  EXPECT_EQ(Table.getBatch(&Short, &V, &Found, 1), 0u);
+  EXPECT_EQ(Found, 0);
+  EXPECT_TRUE(Table.put(Short, 77)); // Into the spill lane.
+  ASSERT_TRUE(Table.get(Short, V));
+  EXPECT_EQ(V, 77u);
+  EXPECT_TRUE(Table.erase(Short));
+  EXPECT_TRUE(Table.staticLaneActive());
+  munmap(Map, 2 * Page);
 }
 
 TEST(ServingTableStaticTest, EraseOfSealedKeyInvalidatesTheLane) {

@@ -112,8 +112,9 @@ TEST(ShardPartitionTest, PartitionEquivalentToPerKeyShardOfAllFormats) {
             Seen[K] = true;
             ASSERT_EQ(probe::shardOf(Images[K], Bits), S)
                 << paperKeyName(Key) << " isa " << static_cast<int>(Isa);
-            if (I != Offsets[S])
+            if (I != Offsets[S]) {
               ASSERT_LT(Order[I - 1], K) << "partition must be stable";
+            }
           }
         }
       }

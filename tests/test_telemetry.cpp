@@ -508,18 +508,21 @@ TEST(TraceRingTest, MultiThreadDrainIsTimeOrdered) {
       Events.push_back(E);
   ASSERT_EQ(Events.size(), NumThreads * PerThread);
   for (size_t I = 0; I != Events.size(); ++I) {
-    if (I != 0)
+    if (I != 0) {
       EXPECT_LE(Events[I - 1].TimeNs, Events[I].TimeNs)
           << "drain must merge rings into time order";
+    }
     ASSERT_LT(Events[I].Gen, NumThreads);
   }
   // Per-thread suborder survives the merge: each emitter's args must
   // come back ascending within its own Gen lane.
   for (size_t T = 0; T != NumThreads; ++T) {
     uint64_t Expect = 0;
-    for (const telemetry::Event &E : Events)
-      if (E.Gen == T)
+    for (const telemetry::Event &E : Events) {
+      if (E.Gen == T) {
         EXPECT_EQ(E.Arg, Expect++);
+      }
+    }
     EXPECT_EQ(Expect, PerThread);
   }
 }
