@@ -25,14 +25,17 @@
 #include "driver/report.h"
 #include "quality/mphf_check.h"
 #include "runtime/adaptive_hash.h"
+#include "stats/descriptive.h"
 #include "support/cpu_features.h"
 #include "support/json.h"
 #include "support/resource_usage.h"
 #include "support/telemetry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,25 @@ void printUsage(const char *Argv0) {
       "  --mphf-json=FILE      write the --mphf scorecard + timings as\n"
       "                        JSON (the mphf-smoke CI job floors on it)\n",
       Argv0);
+}
+
+/// Writes the telemetry registry and \p Usage to \p MetricsPath when
+/// --metrics was given; false when the file cannot be opened.
+bool writeMetricsIfRequested(const std::string &MetricsPath,
+                             const ResourceUsage &Usage) {
+  if (MetricsPath.empty())
+    return true;
+  std::FILE *Out = std::fopen(MetricsPath.c_str(), "w");
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot open metrics file '%s'\n",
+                 MetricsPath.c_str());
+    return false;
+  }
+  std::fprintf(Out, "{\n\"telemetry\": %s,\n\"resources\": %s\n}\n",
+               telemetry::toJson().c_str(), Usage.toJson().c_str());
+  std::fclose(Out);
+  std::printf("metrics written to %s\n", MetricsPath.c_str());
+  return true;
 }
 
 /// Drains the flight recorder into \p TracePath (Chrome-trace JSON)
@@ -352,6 +374,12 @@ int runExplain(PaperKey Key, IsaLevel Isa, ExplainFormat Format) {
   return 0;
 }
 
+/// Rounds of the --mphf build and lookup race. Every figure printed
+/// (and written to --mphf-json) is the median over the rounds: a
+/// single timed pass per lane is noisy enough to flip the lanes'
+/// order from one run to the next.
+constexpr size_t MphfRounds = 5;
+
 /// --mphf: construct the static-set tier over \p N distinct --key
 /// keys, verify the bijection structurally (the mphf-smoke CI floors),
 /// and race values[mphf(key)] lookups against the FlatIndexMap
@@ -369,22 +397,28 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
   MphfBuildOptions Options;
   Options.Format = &Spec;
   Options.Seed = Seed;
-  const double BuildStart = nowMs();
-  Expected<Mphf> F = buildMphf(Views, Options);
-  const double BuildMs = nowMs() - BuildStart;
-  if (!F) {
-    std::fprintf(stderr, "error: %s\n", F.error().Message.c_str());
-    return 1;
+  std::vector<double> BuildSamples;
+  Expected<Mphf> F = Error{"not built"};
+  for (size_t R = 0; R != MphfRounds; ++R) {
+    const double Start = nowMs();
+    F = buildMphf(Views, Options);
+    BuildSamples.push_back(nowMs() - Start);
+    if (!F) {
+      std::fprintf(stderr, "error: %s\n", F.error().Message.c_str());
+      return 1;
+    }
   }
+  const double BuildMs = median(BuildSamples);
 
   quality::MphfReport Report =
       quality::measureMphf(*F, Views.data(), Views.size());
   Report.Format = paperKeyName(Key);
   std::printf("mphf: key=%s n=%zu base=%s\n", paperKeyName(Key), N,
               F->plan().RawBase ? "raw bytes" : "pext extraction");
-  std::printf("build: %.2f ms (%.0f keys/ms), %.2f bits/key\n", BuildMs,
-              BuildMs > 0 ? static_cast<double>(N) / BuildMs : 0.0,
-              Report.BitsPerKey);
+  std::printf("build: %.2f ms (%.0f keys/ms; median of %zu), %.2f "
+              "bits/key\n",
+              BuildMs, BuildMs > 0 ? static_cast<double>(N) / BuildMs : 0.0,
+              MphfRounds, Report.BitsPerKey);
   std::printf("verify: collisions=%llu out_of_range=%llu coverage=%.6f "
               "max_index=%llu -> %s\n",
               static_cast<unsigned long long>(Report.Collisions),
@@ -400,51 +434,67 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
     return 1;
   }
 
-  const size_t Passes = std::max<size_t>(1, 2000000 / std::max<size_t>(N, 1));
-  uint64_t Sink = 0;
-
-  double DirectNs = 0;
-  {
-    const double Start = nowMs();
-    for (size_t P = 0; P != Passes; ++P)
-      for (const std::string_view &K : Views)
-        Sink += Direct.find(K) != nullptr;
-    DirectNs = (nowMs() - Start) * 1e6 / static_cast<double>(Passes * N);
-  }
-  double DirectBatchNs = 0;
-  {
-    std::vector<const uint32_t *> Out(N);
-    const double Start = nowMs();
-    for (size_t P = 0; P != Passes; ++P)
-      Sink += Direct.findBatch(Views.data(), Out.data(), N);
-    DirectBatchNs =
-        (nowMs() - Start) * 1e6 / static_cast<double>(Passes * N);
-  }
-
   // FlatIndexMap over the same set (the general specialized-storage
   // tier, no fixed-set assumption): only sound for a bijective plan.
-  double FlatBuildMs = -1, FlatNs = -1;
+  double FlatBuildMs = -1;
+  std::unique_ptr<FlatIndexMap<uint32_t>> Flat;
   Expected<HashPlan> Plan = synthesize(Spec.abstract(), HashFamily::Pext);
   if (Plan && Plan->Bijective) {
-    const double Start = nowMs();
-    FlatIndexMap<uint32_t> Flat(SynthesizedHash(Plan.take()), N);
-    Flat.insertBatch(Views.data(), Values.data(), N);
-    FlatBuildMs = nowMs() - Start;
-    const double FindStart = nowMs();
-    for (size_t P = 0; P != Passes; ++P)
-      for (const std::string_view &K : Views)
-        Sink += Flat.find(K) != nullptr;
-    FlatNs = (nowMs() - FindStart) * 1e6 / static_cast<double>(Passes * N);
+    const auto Shared = std::make_shared<const HashPlan>(Plan.take());
+    std::vector<double> Samples;
+    for (size_t R = 0; R != MphfRounds; ++R) {
+      const double Start = nowMs();
+      Flat = std::make_unique<FlatIndexMap<uint32_t>>(SynthesizedHash(Shared),
+                                                      N);
+      Flat->insertBatch(Views.data(), Values.data(), N);
+      Samples.push_back(nowMs() - Start);
+    }
+    FlatBuildMs = median(Samples);
   }
-  asm volatile("" : : "r"(Sink) : "memory");
 
-  std::printf("lookup (%zu pass%s):\n"
+  const size_t Passes = std::max<size_t>(1, 2000000 / std::max<size_t>(N, 1));
+  uint64_t Sink = 0;
+  std::vector<const uint32_t *> Found(N);
+  // ns/key of Passes passes through lane 0 (direct), 1 (direct batch)
+  // or 2 (flat).
+  auto TimeLane = [&](size_t Lane) {
+    const double Start = nowMs();
+    for (size_t P = 0; P != Passes; ++P)
+      switch (Lane) {
+      case 0:
+        for (const std::string_view &K : Views)
+          Sink += Direct.find(K) != nullptr;
+        break;
+      case 1:
+        Sink += Direct.findBatch(Views.data(), Found.data(), N);
+        break;
+      default:
+        for (const std::string_view &K : Views)
+          Sink += Flat->find(K) != nullptr;
+      }
+    return (nowMs() - Start) * 1e6 / static_cast<double>(Passes * N);
+  };
+  const size_t NumLanes = Flat ? 3 : 2;
+  // Each round runs every lane; odd rounds run them in reverse, so no
+  // lane always runs first (or right after a build).
+  std::vector<double> LaneSamples[3];
+  for (size_t R = 0; R != MphfRounds; ++R)
+    for (size_t I = 0; I != NumLanes; ++I) {
+      const size_t Lane = R % 2 == 0 ? I : NumLanes - 1 - I;
+      LaneSamples[Lane].push_back(TimeLane(Lane));
+    }
+  asm volatile("" : : "r"(Sink) : "memory");
+  const double DirectNs = median(LaneSamples[0]);
+  const double DirectBatchNs = median(LaneSamples[1]);
+  const double FlatNs = Flat ? median(LaneSamples[2]) : -1;
+
+  std::printf("lookup (%zu pass%s, median of %zu rounds):\n"
               "  direct        %8.3f ns/key  (%zu image bytes + "
               "values)\n"
               "  direct batch  %8.3f ns/key\n",
-              Passes, Passes == 1 ? "" : "es", DirectNs,
+              Passes, Passes == 1 ? "" : "es", MphfRounds, DirectNs,
               N * sizeof(uint64_t), DirectBatchNs);
-  if (FlatNs >= 0)
+  if (Flat)
     std::printf("  flat          %8.3f ns/key  (FlatIndexMap, build "
                 "%.2f ms)\n",
                 FlatNs, FlatBuildMs);
@@ -458,12 +508,12 @@ int runMphf(PaperKey Key, size_t N, uint64_t Seed,
       return 1;
     }
     std::fprintf(Out,
-                 "{\n\"mphf\": %s,\n"
+                 "{\n\"mphf\": %s,\n\"rounds\": %zu,\n"
                  "\"build_ms\": %.4f,\n\"flat_build_ms\": %.4f,\n"
                  "\"lookup_ns\": {\"direct\": %.4f, \"direct_batch\": "
                  "%.4f, \"flat\": %.4f}\n}\n",
-                 Report.toJson().c_str(), BuildMs, FlatBuildMs, DirectNs,
-                 DirectBatchNs, FlatNs);
+                 Report.toJson().c_str(), MphfRounds, BuildMs, FlatBuildMs,
+                 DirectNs, DirectBatchNs, FlatNs);
     std::fclose(Out);
     std::printf("mphf scorecard written to %s\n", JsonPath.c_str());
   }
@@ -631,6 +681,9 @@ int main(int Argc, char **Argv) {
 
   if (MphfMode) {
     const int Rc = runMphf(Key, MphfN, Config.Seed, MphfJson);
+    if (!writeMetricsIfRequested(MetricsPath,
+                                 ResourceUsage::sinceProcessStart()))
+      return 1;
     writeTraceIfRequested(TracePath);
     return Rc;
   }
@@ -716,18 +769,8 @@ int main(int Argc, char **Argv) {
               static_cast<double>(Usage.PeakRssKb) / 1024.0, Usage.UserSec,
               Usage.SysSec, Usage.WallSec);
 
-  if (!MetricsPath.empty()) {
-    std::FILE *Out = std::fopen(MetricsPath.c_str(), "w");
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot open metrics file '%s'\n",
-                   MetricsPath.c_str());
-      return 1;
-    }
-    std::fprintf(Out, "{\n\"telemetry\": %s,\n\"resources\": %s\n}\n",
-                 telemetry::toJson().c_str(), Usage.toJson().c_str());
-    std::fclose(Out);
-    std::printf("metrics written to %s\n", MetricsPath.c_str());
-  }
+  if (!writeMetricsIfRequested(MetricsPath, Usage))
+    return 1;
   writeTraceIfRequested(TracePath);
   return 0;
 }

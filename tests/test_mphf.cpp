@@ -14,6 +14,9 @@
 
 #include "mphf/mphf.h"
 
+#include "core/regex_parser.h"
+#include "core/synthesizer.h"
+#include "hashes/fnv.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
 #include "mphf/mphf_explain.h"
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <string_view>
@@ -156,12 +160,72 @@ TEST(MphfBuildTest, EmptySetIsAnError) {
 }
 
 TEST(MphfBuildTest, DuplicateKeysAreReportedNotLooped) {
-  std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 100);
-  Keys.push_back(Keys.front());
+  // 20,000 keys are past the size from which the search runs threaded.
+  for (size_t N : {size_t{100}, size_t{20000}}) {
+    std::vector<std::string> Keys = paperKeys(PaperKey::SSN, N);
+    Keys.push_back(Keys.front());
+    Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
+    ASSERT_FALSE(F) << "n=" << N;
+    EXPECT_NE(F.error().Message.find("duplicate"), std::string::npos)
+        << "n=" << N << ": " << F.error().Message;
+  }
+}
+
+TEST(MphfBuildTest, ExtractionCollisionFallsBackToRawBase) {
+  // OffXor folds a 16-byte key into the xor of its two 8-byte words, so
+  // a key with its halves swapped has the same extraction image and is
+  // a different key: the build must fall back to raw imaging.
+  Expected<FormatSpec> Spec = parseRegex("[a-z]{16}");
+  ASSERT_TRUE(Spec) << Spec.error().Message;
+  Expected<HashPlan> Plan = synthesize(Spec->abstract(), HashFamily::OffXor);
+  ASSERT_TRUE(Plan) << Plan.error().Message;
+  MphfBuildOptions Options;
+  Options.Extract = std::make_shared<const HashPlan>(Plan.take());
+  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 0x5a17);
+  std::vector<std::string> Keys = Gen.distinct(1000);
+  const std::string Swapped = Keys[0].substr(8) + Keys[0].substr(0, 8);
+  ASSERT_NE(Swapped, Keys[0]);
+  ASSERT_EQ(std::find(Keys.begin(), Keys.end(), Swapped), Keys.end());
+  const SynthesizedHash Front(Options.Extract);
+  ASSERT_EQ(Front(Swapped), Front(Keys[0]));
+  Keys.push_back(Swapped);
+
+  Expected<Mphf> F = buildMphf(Keys, Options);
+  ASSERT_TRUE(F) << F.error().Message;
+  EXPECT_TRUE(F->plan().RawBase);
+  EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect());
+
+  // A repeated key among the colliding images is still a duplicate
+  // key.
+  Keys.push_back(Keys[5]);
+  Expected<Mphf> G = buildMphf(Keys, Options);
+  ASSERT_FALSE(G);
+  EXPECT_NE(G.error().Message.find("duplicate key in MPHF input"),
+            std::string::npos)
+      << G.error().Message;
+}
+
+TEST(MphfBuildTest, ZeroExtractionImageIsAKeyLikeAnyOther) {
+  // The distinctness check's set marks empty cells with zero. An SSN
+  // of all zero digits has Pext image zero; it must build, and its
+  // repeat must be reported as a duplicate key, not found only after
+  // every reseed's search has run out.
+  const std::string Zero = "000-00-0000";
+  std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 2000);
+  Keys.erase(std::remove(Keys.begin(), Keys.end(), Zero), Keys.end());
+  Keys.push_back(Zero);
   Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
-  ASSERT_FALSE(F);
-  EXPECT_NE(F.error().Message.find("duplicate"), std::string::npos)
-      << F.error().Message;
+  ASSERT_TRUE(F) << F.error().Message;
+  ASSERT_FALSE(F->plan().RawBase);
+  ASSERT_EQ(SynthesizedHash(F->plan().Extract)(Zero), 0u);
+  EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect());
+
+  Keys.push_back(Zero);
+  Expected<Mphf> G = buildMphf(Keys, formatOptions(PaperKey::SSN));
+  ASSERT_FALSE(G);
+  EXPECT_NE(G.error().Message.find("duplicate key in MPHF input"),
+            std::string::npos)
+      << G.error().Message;
 }
 
 TEST(MphfBuildTest, RawBaseHandlesFormatlessKeys) {
@@ -178,12 +242,40 @@ TEST(MphfBuildTest, RawBaseHandlesFormatlessKeys) {
 }
 
 TEST(MphfBuildTest, DeterministicForFixedSeed) {
-  const std::vector<std::string> Keys = paperKeys(PaperKey::CPF, 300);
-  Expected<Mphf> A = buildMphf(Keys, formatOptions(PaperKey::CPF));
-  Expected<Mphf> B = buildMphf(Keys, formatOptions(PaperKey::CPF));
-  ASSERT_TRUE(A);
-  ASSERT_TRUE(B);
-  EXPECT_EQ(serializeMphf(A->plan()), serializeMphf(B->plan()));
+  // The second input is past the size from which the search runs
+  // threaded.
+  for (auto [Key, N] : {std::pair{PaperKey::CPF, size_t{300}},
+                        std::pair{PaperKey::SSN, size_t{100000}}}) {
+    const std::vector<std::string> Keys = paperKeys(Key, N);
+    Expected<Mphf> A = buildMphf(Keys, formatOptions(Key));
+    Expected<Mphf> B = buildMphf(Keys, formatOptions(Key));
+    ASSERT_TRUE(A) << paperKeyName(Key);
+    ASSERT_TRUE(B) << paperKeyName(Key);
+    EXPECT_EQ(serializeMphf(A->plan()), serializeMphf(B->plan()))
+        << paperKeyName(Key);
+  }
+}
+
+TEST(MphfBuildTest, PlansMatchTheParentBuilder) {
+  // FNV-1a-64 digests of the plans a one-thread, sort-based build of
+  // these inputs serializes to. They pin the bucket order, the leaf
+  // acceptance and the pilot layout: making the builder faster, or
+  // sharing its search out over threads, must not change a plan.
+  const struct {
+    PaperKey Key;
+    size_t N;
+    uint64_t Digest;
+  } Golden[] = {{PaperKey::IPv4, 12288, 0x7ad09819c9615181ull},
+                {PaperKey::SSN, 100000, 0x10839bc72e3b631cull}};
+  for (const auto &G : Golden) {
+    const std::vector<std::string> Keys = paperKeys(G.Key, G.N);
+    Expected<Mphf> F = buildMphf(Keys, formatOptions(G.Key));
+    ASSERT_TRUE(F) << paperKeyName(G.Key) << ": " << F.error().Message;
+    const std::string Text = serializeMphf(F->plan());
+    EXPECT_EQ(fnv1aHashBytes(Text.data(), Text.size(), FnvOffsetBasis64),
+              G.Digest)
+        << paperKeyName(G.Key) << " n=" << G.N;
+  }
 }
 
 TEST(MphfBuildTest, OutOfSetKeysStayInRange) {
