@@ -79,6 +79,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -162,10 +163,10 @@ public:
                            size_t InitialCapacityPerShard = 16) {
     size_t Count = std::bit_ceil(std::max<size_t>(1, ShardCountHint));
     Count = std::min<size_t>(Count, 256);
-    Bits = static_cast<unsigned>(std::countr_zero(Count));
-    auto T = std::make_unique<Table>(std::move(Hash), std::move(Pattern),
-                                     EpochLabel, Count,
-                                     InitialCapacityPerShard);
+    auto T = std::make_unique<Table>(
+        std::move(Hash), std::move(Pattern), EpochLabel,
+        static_cast<unsigned>(std::countr_zero(Count)),
+        InitialCapacityPerShard);
     Active.store(T.get(), std::memory_order_release);
     Tables.push_back(std::move(T));
   }
@@ -173,7 +174,7 @@ public:
   ShardedIndexMap(const ShardedIndexMap &) = delete;
   ShardedIndexMap &operator=(const ShardedIndexMap &) = delete;
 
-  size_t shardCount() const { return size_t{1} << Bits; }
+  size_t shardCount() const { return active()->shardCount(); }
 
   /// Label of the active table (the EpochLabel it was constructed or
   /// migrated with). Label, hash and pattern live in one published
@@ -195,16 +196,16 @@ public:
   size_t size() const {
     const Table *T = active();
     size_t Total = 0;
-    for (const auto &S : T->Shards) {
-      std::shared_lock<std::shared_mutex> Lock(S->Mutex);
-      Total += S->Map.size();
+    for (size_t I = 0; I != T->shardCount(); ++I) {
+      std::shared_lock<std::shared_mutex> Lock(T->Shards[I].Mutex);
+      Total += T->Shards[I].Map.size();
     }
     return Total;
   }
 
   ShardStats shardStats(size_t Index) const {
     const Table *T = active();
-    const Shard &S = *T->Shards[Index & (shardCount() - 1)];
+    const Shard &S = T->Shards[Index & (T->shardCount() - 1)];
     std::shared_lock<std::shared_mutex> Lock(S.Mutex);
     return {S.Map.size(), S.Map.capacity(), S.Map.tombstones()};
   }
@@ -227,7 +228,7 @@ public:
 
   ShardContention shardContention(size_t Index) const {
     const Table *T = active();
-    const Shard &S = *T->Shards[Index & (shardCount() - 1)];
+    const Shard &S = T->Shards[Index & (T->shardCount() - 1)];
     return {S.SharedAcquires.load(std::memory_order_relaxed),
             S.SharedContended.load(std::memory_order_relaxed),
             S.UniqueAcquires.load(std::memory_order_relaxed),
@@ -440,15 +441,15 @@ public:
     std::lock_guard<std::mutex> MigrateLock(MigrateMutex);
     Table *Old = activeMutable();
     auto Next = std::make_unique<Table>(
-        std::move(NewHash), std::move(NewPattern), NewLabel,
-        shardCount(), /*InitialCapacityPerShard=*/16);
+        std::move(NewHash), std::move(NewPattern), NewLabel, Old->ShardBits,
+        /*InitialCapacityPerShard=*/16);
     // Publish the successor pointer *before* any seal: a writer reads
     // it only after observing Sealed under a shard lock the migrator
     // released after this store, so the mutex ordering carries it over.
     Old->Successor = Next.get();
     size_t Copied = 0;
-    for (size_t I = 0; I != Old->Shards.size(); ++I) {
-      Shard &S = *Old->Shards[I];
+    for (size_t I = 0; I != Old->shardCount(); ++I) {
+      Shard &S = Old->Shards[I];
       std::unique_lock<std::shared_mutex> Lock(S.Mutex);
       SEPE_EVENT("sharded.shard.seal", NewLabel, I);
       S.Sealed = true;
@@ -492,31 +493,52 @@ private:
 
   /// One epoch of the map. Immutable after publish except through the
   /// shard locks; readers reach the whole generation — hash, pattern,
-  /// epoch, shards — through one acquire load of Active.
+  /// epoch, shards — through one acquire load of Active. The shards are
+  /// one cache-line-aligned array, so a probe goes from the table to
+  /// its shard with no pointer in between.
   struct Table {
     Table(SynthesizedHash Hash, KeyPattern Pattern, uint64_t Epoch,
-          size_t ShardCount, size_t InitialCapacityPerShard)
-        : Hash(std::move(Hash)), Pattern(std::move(Pattern)), Epoch(Epoch) {
+          unsigned ShardBits, size_t InitialCapacityPerShard)
+        : Hash(std::move(Hash)), Pattern(std::move(Pattern)), Epoch(Epoch),
+          ShardBits(ShardBits),
+          Shards(static_cast<Shard *>(::operator new(
+              sizeof(Shard) << ShardBits, std::align_val_t{alignof(Shard)}))) {
       assert(invertible(this->Hash.plan(), this->Pattern) &&
              "migrate() rebuilds keys from images of this plan");
-      Shards.reserve(ShardCount);
-      for (size_t I = 0; I != ShardCount; ++I)
-        Shards.push_back(
-            std::make_unique<Shard>(this->Hash, InitialCapacityPerShard));
+      // Shard holds a shared_mutex, so it is built in place.
+      size_t Built = 0;
+      try {
+        for (; Built != shardCount(); ++Built)
+          new (&Shards[Built]) Shard(this->Hash, InitialCapacityPerShard);
+      } catch (...) {
+        destroyShards(Built);
+        throw;
+      }
     }
+    ~Table() { destroyShards(shardCount()); }
+    Table(const Table &) = delete;
+    Table &operator=(const Table &) = delete;
 
+    size_t shardCount() const { return size_t{1} << ShardBits; }
     Shard &shardFor(uint64_t Image) const {
-      return *Shards[probe::shardOf(
-          Image, static_cast<unsigned>(std::countr_zero(Shards.size())))];
+      return Shards[probe::shardOf(Image, ShardBits)];
     }
 
     SynthesizedHash Hash;
     KeyPattern Pattern;
     uint64_t Epoch = 0;
-    std::vector<std::unique_ptr<Shard>> Shards;
+    const unsigned ShardBits;
+    Shard *const Shards;
     /// Set (before any seal) by the migration that retires this table;
     /// read by writers that find their shard sealed.
     Table *Successor = nullptr;
+
+  private:
+    void destroyShards(size_t Built) {
+      for (size_t I = 0; I != Built; ++I)
+        Shards[I].~Shard();
+      ::operator delete(Shards, std::align_val_t{alignof(Shard)});
+    }
   };
 
   const Table *active() const { return Active.load(std::memory_order_acquire); }
@@ -526,12 +548,31 @@ private:
   /// shard's read lock; each fails only if a write section overlapped.
   static constexpr unsigned ReadAttempts = 4;
 
-  /// Copies \p Image's value in \p S into \p Out; false when absent.
-  /// A run of one key (probeRun).
+  /// Copies \p Image's value in \p S into \p Out; false (Out
+  /// untouched) when absent. The single-key read: up to ReadAttempts
+  /// validated lock-free probes, then one under the shard's read lock,
+  /// which excludes writers, so that probe always validates.
   static bool lookup(const Shard &S, uint64_t Image, Value &Out) {
-    const uint16_t Only = 0;
-    uint8_t Found = 0;
-    return probeRun(S, &Image, &Only, 0, 1, &Out, &Found) != 0;
+    Value V{};
+    for (unsigned Attempt = 0; Attempt != ReadAttempts; ++Attempt) {
+      const auto Read = S.Map.readBegin();
+      if (Read.busy())
+        continue;
+      const bool Hit = S.Map.probeRelaxed(Read, Image, V);
+      if (S.Map.readValidate(Read)) {
+        if (Hit)
+          Out = V;
+        return Hit;
+      }
+    }
+    std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
+                                             std::adopt_lock);
+    const auto Read = S.Map.readBegin();
+    const bool Hit = S.Map.probeRelaxed(Read, Image, V);
+    assert(S.Map.readValidate(Read) && "the read lock excludes writers");
+    if (Hit)
+      Out = V;
+    return Hit;
   }
 
   /// Probes a chunk of \p Count (<= shard::ChunkSize) images:
@@ -542,19 +583,19 @@ private:
                     Value *Out, uint8_t *Found) const {
     uint16_t Order[shard::ChunkSize];
     uint32_t Offsets[256 + 1];
-    shard::partitionChunk(Images, Count, Bits, Order, Offsets);
+    shard::partitionChunk(Images, Count, T.ShardBits, Order, Offsets);
     size_t Hits = 0;
-    for (size_t S = 0; S != shardCount(); ++S)
+    for (size_t S = 0; S != T.shardCount(); ++S)
       if (Offsets[S] != Offsets[S + 1])
-        Hits += probeRun(*T.Shards[S], Images, Order, Offsets[S],
+        Hits += probeRun(T.Shards[S], Images, Order, Offsets[S],
                          Offsets[S + 1], Out, Found);
     return Hits;
   }
 
-  /// Probes one shard's run of a partitioned chunk: Images[Order[I]]
-  /// for I in [Begin, End), results to Out/Found[Order[I]] (Out is
-  /// untouched for a miss). The whole run is one lock-free read,
-  /// validated once. After ReadAttempts failed validations the read
+  /// Probes one shard's run of a batch's partitioned chunk:
+  /// Images[Order[I]] for I in [Begin, End), results to
+  /// Out/Found[Order[I]] (Out is untouched for a miss). The whole run is
+  /// one lock-free read, validated once. After ReadAttempts failed validations the read
   /// runs once more under the shard's read lock, which excludes
   /// writers, so that pass always validates. Returns the hits.
   static size_t probeRun(const Shard &S, const uint64_t *Images,
@@ -699,7 +740,6 @@ private:
     return Copied;
   }
 
-  unsigned Bits = 0;
   std::atomic<Table *> Active{nullptr};
   /// Every table ever published, in epoch order; retired tables stay
   /// alive until destruction so readers parked on an old epoch never

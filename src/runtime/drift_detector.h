@@ -18,13 +18,21 @@
 /// wedge the window: the next thread to see it full closes it instead.
 ///
 /// Single-key observations (observeClean/observeMiss) would otherwise
-/// pay that shared RMW per key. A clean key instead adds one to this
-/// thread's stripe — one of Stripes cache-line-sized counters, picked
-/// round-robin per thread — and a stripe moves its pending keys into
-/// the window once FlushEvery of them accumulate. A miss moves its
-/// stripe's pending keys in together with itself, so the window sees
-/// drift as soon as it happens. Stripes hold atomics, so threads that
-/// share one (more threads than stripes) still count exactly.
+/// pay that shared RMW per key. A clean key instead counts in a stripe
+/// its thread owns: one of Stripes cache-line-sized counters, whose
+/// slot the thread claims process-wide on its first observation and
+/// releases at thread exit (the next thread to claim the slot continues
+/// the count). The owner is the stripe's only writer of Count, so it
+/// counts with a relaxed load and store, no locked add. Threads beyond
+/// the claimed slots share one extra stripe and count with an atomic
+/// add, so counts stay exact for any number of threads. A stripe's
+/// pending keys are Count - Taken; Taken moves only by CAS (a flush
+/// every FlushEvery pending keys, a miss, or reset()), each CAS taking
+/// exactly the keys between the old mark and the Count it read, so a
+/// key that races the owner's store is taken once, never twice or not
+/// at all. A miss moves its stripe's pending keys into the window
+/// together with itself, so the window sees drift as soon as it
+/// happens.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +40,7 @@
 #define SEPE_RUNTIME_DRIFT_DETECTOR_H
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -48,8 +57,9 @@ public:
     Tripped, ///< This call closed a window whose ratio crossed threshold.
   };
 
-  /// Per-thread clean-key stripes, and the pending count at which a
-  /// stripe moves its keys into the window.
+  /// Owned clean-key stripes (process-wide slots, one per live thread),
+  /// and the pending count at which a stripe moves its keys into the
+  /// window.
   static constexpr unsigned Stripes = 16;
   static constexpr uint64_t FlushEvery = 64;
 
@@ -69,7 +79,8 @@ public:
   Window observe(size_t Observed, size_t Mismatched) {
     assert(Mismatched <= Observed && "more misses than keys");
     ObservedTotal.fetch_add(Observed, std::memory_order_relaxed);
-    MismatchedTotal.fetch_add(Mismatched, std::memory_order_relaxed);
+    if (Mismatched != 0)
+      MismatchedTotal.fetch_add(Mismatched, std::memory_order_relaxed);
     const uint64_t Inc =
         (uint64_t{Observed} << 32) | static_cast<uint32_t>(Mismatched);
     uint64_t Cur = State.fetch_add(Inc, std::memory_order_relaxed) + Inc;
@@ -91,18 +102,25 @@ public:
   /// One key that passed the guard: counted in this thread's stripe,
   /// moved into the window FlushEvery keys at a time.
   Window observeClean() {
-    std::atomic<uint64_t> &Pending = myStripe();
-    if (Pending.fetch_add(1, std::memory_order_relaxed) + 1 < FlushEvery)
+    const unsigned Slot = ThreadSlot;
+    if (Slot >= SharedStripe) [[unlikely]]
+      return observeCleanUnowned();
+    Stripe &S = StripeCounts[Slot];
+    // Only this thread stores Count, and Taken never passes a Count it
+    // stored, so the difference below cannot wrap.
+    const uint64_t Count = S.Count.load(std::memory_order_relaxed) + 1;
+    S.Count.store(Count, std::memory_order_relaxed);
+    if (Count - S.Taken.load(std::memory_order_relaxed) < FlushEvery)
       return Window::Open;
-    // A thread sharing the stripe may have taken the count first.
-    const uint64_t Taken = Pending.exchange(0, std::memory_order_relaxed);
-    return Taken == 0 ? Window::Open : observe(Taken, 0);
+    return flush(S);
   }
 
   /// One key that missed the guard, observed at once together with
   /// this thread's pending clean keys.
   Window observeMiss() {
-    return observe(myStripe().exchange(0, std::memory_order_relaxed) + 1, 1);
+    if (ThreadSlot == Unclaimed) [[unlikely]]
+      ThreadSlot = claimSlot();
+    return observe(take(StripeCounts[ThreadSlot]) + 1, 1);
   }
 
   /// Mismatch ratio of the last closed window (0 before any window
@@ -122,8 +140,12 @@ public:
   /// observing threads quiesce.
   uint64_t observedTotal() const {
     uint64_t Total = ObservedTotal.load(std::memory_order_relaxed);
-    for (const Stripe &S : StripeCounts)
-      Total += S.Pending.load(std::memory_order_relaxed);
+    for (const Stripe &S : StripeCounts) {
+      // Taken first: the Count read after it is at least the Count
+      // that mark was taken up to.
+      const uint64_t Taken = S.Taken.load(std::memory_order_acquire);
+      Total += S.Count.load(std::memory_order_relaxed) - Taken;
+    }
     return Total;
   }
 
@@ -140,22 +162,102 @@ public:
   /// that triggered it. Pending keys still count toward observedTotal().
   void reset() {
     for (Stripe &S : StripeCounts)
-      ObservedTotal.fetch_add(S.Pending.exchange(0, std::memory_order_relaxed),
-                              std::memory_order_relaxed);
+      if (const uint64_t Pending = take(S))
+        ObservedTotal.fetch_add(Pending, std::memory_order_relaxed);
     State.store(0, std::memory_order_relaxed);
     LastRatioPpm.store(0, std::memory_order_relaxed);
   }
 
 private:
+  /// Count is the keys ever counted here; only the slot's owner stores
+  /// it (the shared stripe adds atomically). Taken is the prefix of
+  /// them already moved out, advanced only by CAS (take).
   struct alignas(64) Stripe {
-    std::atomic<uint64_t> Pending{0};
+    std::atomic<uint64_t> Count{0};
+    std::atomic<uint64_t> Taken{0};
   };
 
-  std::atomic<uint64_t> &myStripe() {
-    static std::atomic<unsigned> NextStripe{0};
-    thread_local const unsigned Index =
-        NextStripe.fetch_add(1, std::memory_order_relaxed) % Stripes;
-    return StripeCounts[Index].Pending;
+  /// StripeCounts[SharedStripe] is the stripe of threads that hold no
+  /// slot; Unclaimed marks a thread that has not tried to claim one.
+  static constexpr unsigned SharedStripe = Stripes;
+  static constexpr unsigned Unclaimed = Stripes + 1;
+  static_assert(Stripes <= 32, "slot ownership is one 32-bit mask");
+
+  /// This thread's slot, the same in every detector.
+  static inline thread_local unsigned ThreadSlot = Unclaimed;
+  /// Bit I set: some live thread owns slot I.
+  static inline std::atomic<uint32_t> OwnedSlots{0};
+
+  /// Claims a free slot for this thread (SharedStripe when all are
+  /// owned) and releases it at thread exit. The acquire/release pair
+  /// hands the slot's counts from one owner to the next.
+  static unsigned claimSlot() {
+    struct Owner {
+      explicit Owner(unsigned Slot) : Slot(Slot) {}
+      Owner(const Owner &) = delete;
+      Owner &operator=(const Owner &) = delete;
+      ~Owner() {
+        // Observations later in thread teardown go to the shared stripe.
+        ThreadSlot = SharedStripe;
+        if (Slot != SharedStripe)
+          OwnedSlots.fetch_and(~(uint32_t{1} << Slot),
+                               std::memory_order_release);
+      }
+      const unsigned Slot;
+    };
+    const auto Claim = [] {
+      uint32_t Mask = OwnedSlots.load(std::memory_order_relaxed);
+      for (;;) {
+        const uint32_t Free = ~Mask & ((uint64_t{1} << Stripes) - 1);
+        if (Free == 0)
+          return SharedStripe;
+        const uint32_t Bit = Free & -Free;
+        if (OwnedSlots.compare_exchange_weak(Mask, Mask | Bit,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed))
+          return static_cast<unsigned>(std::countr_zero(Bit));
+      }
+    };
+    thread_local const Owner Mine{Claim()};
+    return Mine.Slot;
+  }
+
+  /// observeClean for a thread on the shared stripe or not yet
+  /// claimed: claims first, then counts owned or shared. Out of line,
+  /// so the owned path stays small where observeClean inlines.
+  [[gnu::noinline]] Window observeCleanUnowned() {
+    if (ThreadSlot == Unclaimed) {
+      ThreadSlot = claimSlot();
+      if (ThreadSlot != SharedStripe)
+        return observeClean();
+    }
+    Stripe &S = StripeCounts[SharedStripe];
+    const uint64_t Count = S.Count.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Another sharer may have taken past this Count: then it wraps, and
+    // take() finds what is really pending.
+    if (Count - S.Taken.load(std::memory_order_relaxed) < FlushEvery)
+      return Window::Open;
+    return flush(S);
+  }
+
+  Window flush(Stripe &S) {
+    const uint64_t Keys = take(S);
+    return Keys == 0 ? Window::Open : observe(Keys, 0);
+  }
+
+  /// Moves Taken up to the current Count and returns the keys between:
+  /// the stripe's pending keys, each taken by exactly one caller.
+  static uint64_t take(Stripe &S) {
+    uint64_t Taken = S.Taken.load(std::memory_order_acquire);
+    for (;;) {
+      const uint64_t Count = S.Count.load(std::memory_order_relaxed);
+      if (Count == Taken)
+        return 0;
+      if (S.Taken.compare_exchange_weak(Taken, Count,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire))
+        return Count - Taken;
+    }
   }
 
   const uint64_t WindowSize;
@@ -165,7 +267,7 @@ private:
   std::atomic<uint64_t> Windows{0};
   std::atomic<uint64_t> ObservedTotal{0};
   std::atomic<uint64_t> MismatchedTotal{0};
-  Stripe StripeCounts[Stripes];
+  Stripe StripeCounts[Stripes + 1];
 };
 
 } // namespace sepe

@@ -265,6 +265,58 @@ TEST(DriftDetectorTest, SingleKeyObservationsCountExactly) {
   EXPECT_EQ(D.mismatchedTotal(), 22u);
 }
 
+TEST(DriftDetectorTest, MoreThreadsThanStripesCountExactly) {
+  // Owners count with a plain store, so a stripe two threads counted in
+  // at once would lose keys. Threads past the owned slots share one
+  // atomic stripe; reset() takes pending keys while owners store; and
+  // slots released at thread exit are claimed again by later threads.
+  DriftDetector D(4096, 0.5);
+  constexpr int PerThread = 200000;
+  const unsigned Concurrent = 2 * DriftDetector::Stripes + 3;
+  std::atomic<bool> Go{false};
+  std::atomic<uint64_t> Clean{0}, Misses{0};
+  const auto Observe = [&](unsigned T, int Count) {
+    while (!Go.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    uint64_t MyClean = 0, MyMisses = 0;
+    for (int I = 0; I != Count; ++I) {
+      if ((I + T) % 97 == 0) {
+        D.observeMiss();
+        ++MyMisses;
+      } else {
+        D.observeClean();
+        ++MyClean;
+      }
+    }
+    Clean.fetch_add(MyClean);
+    Misses.fetch_add(MyMisses);
+  };
+  std::atomic<bool> Stop{false};
+  std::thread Resetter([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      D.reset();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> Observers;
+  for (unsigned T = 0; T != Concurrent; ++T)
+    Observers.emplace_back(Observe, T, PerThread);
+  Go.store(true, std::memory_order_release);
+  for (std::thread &T : Observers)
+    T.join();
+  Stop.store(true, std::memory_order_relaxed);
+  Resetter.join();
+  EXPECT_EQ(D.observedTotal(), Clean + Misses);
+  EXPECT_EQ(D.mismatchedTotal(), Misses.load());
+
+  // One short-lived thread after another: each claims a slot the last
+  // one released and continues its count.
+  for (unsigned T = 0; T != 40; ++T)
+    std::thread(Observe, T, 1000 + T).join();
+  EXPECT_EQ(D.observedTotal(), Clean + Misses);
+  EXPECT_EQ(D.mismatchedTotal(), Misses.load());
+}
+
 // --- Guarded dispatch equivalence (per paper format) -------------------
 
 class AdaptiveFormatTest : public ::testing::TestWithParam<PaperKey> {};

@@ -166,7 +166,8 @@ TEST(MphfBuildTest, DuplicateKeysAreReportedNotLooped) {
     Keys.push_back(Keys.front());
     Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
     ASSERT_FALSE(F) << "n=" << N;
-    EXPECT_NE(F.error().Message.find("duplicate"), std::string::npos)
+    EXPECT_NE(F.error().Message.find("duplicate key in MPHF input"),
+              std::string::npos)
         << "n=" << N << ": " << F.error().Message;
   }
 }

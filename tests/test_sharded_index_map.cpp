@@ -597,6 +597,67 @@ TEST(ShardedIndexMapTest, LockFreeReadersSurviveGrowthAndSweeps) {
   EXPECT_GT(Sweeps, 0u) << "churn must sweep tombstones under readers";
 }
 
+TEST(ShardedIndexMapTest, SingleKeyReadsNeverSeeAHalfBuiltBlock) {
+  // A tombstone sweep publishes its block before refilling it, so only
+  // the seqlock validation keeps a one-key read from reporting a
+  // resident key absent mid-sweep. One shard held near its load bound
+  // sweeps again and again, each sweep a rebuild of the whole table,
+  // while readers hammer the single-key entry points.
+  ShardedIndexMap<uint64_t> Map(bijectivePext(SsnRegex), patternOf(SsnRegex),
+                                /*EpochLabel=*/0, /*ShardCountHint=*/1);
+  constexpr size_t Resident = 1700, Churn = 160;
+  const std::vector<std::string> Keys =
+      distinctKeys(SsnRegex, Resident + Churn, 0x5ee9);
+  for (size_t I = 0; I != Resident + Churn / 2; ++I)
+    Map.put(Keys[I], I);
+
+  std::atomic<bool> Done{false};
+  std::atomic<int> Started{0};
+  std::atomic<uint64_t> Wrong{0};
+  std::vector<std::thread> Readers;
+  for (int T = 0; T != 2; ++T)
+    Readers.emplace_back([&, T] {
+      Started.fetch_add(1, std::memory_order_relaxed);
+      std::mt19937_64 Rng(0xbead + T);
+      const SynthesizedHash Hash = Map.hasher();
+      while (!Done.load(std::memory_order_acquire)) {
+        const size_t R = Rng() % Resident;
+        uint64_t V = ~0ull;
+        bool Ok = Map.get(Keys[R], V) && V == R;
+        V = ~0ull;
+        Ok &= Map.getHashed(Hash(Keys[R]), 0, V) == ProbeResult::Hit && V == R;
+        V = ~0ull;
+        Ok &= Map.getGuarded(Keys[R], V) == ProbeResult::Hit && V == R;
+        if (!Ok)
+          Wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  while (Started.load(std::memory_order_relaxed) != 2)
+    std::this_thread::yield();
+  size_t Sweeps = 0;
+  auto Last = Map.shardStats(0);
+  for (size_t Step = 0; Step != 20000; ++Step) {
+    // Erase one churn key and put another back, alternating halves.
+    const size_t Out = Resident + (Step % (Churn / 2)) +
+                       (Step / (Churn / 2) % 2 ? Churn / 2 : 0);
+    const size_t In = Out < Resident + Churn / 2 ? Out + Churn / 2
+                                                 : Out - Churn / 2;
+    // EXPECT, not ASSERT: the readers must be joined on every path.
+    EXPECT_TRUE(Map.erase(Keys[Out]));
+    EXPECT_TRUE(Map.put(Keys[In], In));
+    const auto Now = Map.shardStats(0);
+    Sweeps += Last.Tombstones >= 2 && Now.Tombstones == 0 ? 1 : 0;
+    Last = Now;
+  }
+  Done.store(true, std::memory_order_release);
+  for (std::thread &R : Readers)
+    R.join();
+
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_GT(Sweeps, 10u) << "churn must sweep tombstones under readers";
+}
+
 TEST(ShardedIndexMapTest, NoTornEpochUnderConcurrentMigrations) {
   // Label, hash and pattern live in one published Table: a reader that
   // hashes through hasher() and immediately probes with the epoch it
