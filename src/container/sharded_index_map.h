@@ -80,6 +80,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -125,15 +126,6 @@ inline void partitionChunk(const uint64_t *Images, size_t N,
 
 } // namespace shard
 
-/// Outcome of a probe through the labeled / guarded entry points.
-/// Stale: the caller's images were computed against a different epoch
-/// than the active table (a migration landed in between) — nothing was
-/// read or written; redo through a guarded entry point. NotAdmitted:
-/// the key does not conform to the active generation's pattern, so an
-/// image-keyed probe would be unsound (FlatIndexMap's bijectivity only
-/// covers conforming keys) — route it to a spill lane instead.
-enum class ProbeResult { Hit, Miss, NotAdmitted, Stale };
-
 /// Concurrent sharded map from format keys to \p Value. Each shard is
 /// a FlatIndexMap (so the plan must be bijective, and \p Value a
 /// trivially copyable 4- or 8-byte word its readers copy lock-free);
@@ -150,13 +142,13 @@ public:
 
   /// \p Hash must be invertible on \p Pattern (core/plan.h), so images
   /// are sound keys and migrate() can rebuild keys from them. \p Pattern
-  /// is also the generation's guard: the unguarded entry points never
-  /// check it (keys are preconditioned to conform, as everywhere in the
-  /// executor), the *Guarded ones do. \p EpochLabel is an opaque
-  /// generation tag the labeled entry points validate images against —
-  /// the serving layer labels each table with the AdaptiveHash epoch
-  /// whose plan keys it. \p ShardCountHint rounds up to a power of two,
-  /// clamped to [1, 256].
+  /// is also the generation's guard: put/erase/get/getBatch never check
+  /// it (the caller vouches that keys conform, as everywhere in the
+  /// executor), the routed entry points check every key whose image
+  /// they do not take from a current hint. \p EpochLabel is an opaque
+  /// generation tag a hint must carry to be used — the serving layer
+  /// labels each table with the AdaptiveHash epoch whose plan keys it.
+  /// \p ShardCountHint rounds up to a power of two, clamped to [1, 256].
   explicit ShardedIndexMap(SynthesizedHash Hash, KeyPattern Pattern,
                            uint64_t EpochLabel = 0,
                            size_t ShardCountHint = 16,
@@ -319,114 +311,84 @@ public:
     return Hits;
   }
 
-  /// Labeled probe: \p Image must be this map's active hash applied to
-  /// the key, computed under generation \p EpochLabel. Returns Stale
-  /// (nothing probed) when a migration has moved the map to a different
-  /// generation since the caller hashed — the caller redoes the
-  /// operation through a guarded entry point. The table is loaded once,
-  /// so label check and probe cannot straddle a swap.
-  ProbeResult getHashed(uint64_t Image, uint64_t EpochLabel,
-                        Value &Out) const {
+  /// A caller's image of a key, labeled with the generation whose plan
+  /// computed it (the serving layer passes AdaptiveHash::route's hash
+  /// and epoch). Only a hint: the routed entry points probe Image while
+  /// Epoch labels the active table, and judge the key themselves
+  /// otherwise.
+  struct Hint {
+    uint64_t Image = 0;
+    uint64_t Epoch = 0;
+  };
+
+  /// Routed lookup: like get(), but \p Key may be any string. The map
+  /// probes \p H's image while its label is the active table's epoch
+  /// (label, pattern, hash and shards come from one acquire load, so
+  /// the compare and the probe cannot straddle a swap); otherwise it
+  /// checks Key against the active pattern and hashes it with the
+  /// active plan. A key the pattern rejects is not in the map.
+  bool getRouted(std::string_view Key, std::optional<Hint> H,
+                 Value &Out) const {
     const Table *T = active();
-    if (T->Epoch != EpochLabel) {
-      SEPE_COUNT("sharded_index_map.stale_epoch");
-      return ProbeResult::Stale;
-    }
+    uint64_t Image;
+    if (!admit(*T, Key, H, /*Op=*/0, Image))
+      return false;
     if (lookup(T->shardFor(Image), Image, Out)) {
       SEPE_COUNT("sharded_index_map.get.hit");
-      return ProbeResult::Hit;
+      return true;
     }
     SEPE_COUNT("sharded_index_map.get.miss");
-    return ProbeResult::Miss;
+    return false;
   }
 
-  /// Labeled insert; false (nothing written) when \p EpochLabel no
-  /// longer matches the active table. \p Key must be the preimage of
-  /// \p Image: a sealed shard replays it against the successor.
-  bool putHashed(std::string_view Key, uint64_t Image, uint64_t EpochLabel,
-                 Value V, bool &Inserted) {
+  /// Routed insert, judged as getRouted judges: false when the active
+  /// pattern rejects \p Key (nothing written), else \p Inserted
+  /// reports put()'s outcome.
+  bool putRouted(std::string_view Key, std::optional<Hint> H, Value V,
+                 bool &Inserted) {
     Table *T = activeMutable();
-    if (T->Epoch != EpochLabel) {
-      SEPE_COUNT("sharded_index_map.stale_epoch");
+    uint64_t Image;
+    if (!admit(*T, Key, H, /*Op=*/1, Image))
       return false;
-    }
     Inserted = putAt(*T, Key, Image, std::move(V));
     return true;
   }
 
-  /// Labeled erase; false (nothing erased) on label mismatch.
-  bool eraseHashed(std::string_view Key, uint64_t Image,
-                   uint64_t EpochLabel, bool &Erased) {
+  /// Routed erase, judged as getRouted judges; false when \p Key is
+  /// absent, which every key the active pattern rejects is.
+  bool eraseRouted(std::string_view Key, std::optional<Hint> H) {
     Table *T = activeMutable();
-    if (T->Epoch != EpochLabel) {
-      SEPE_COUNT("sharded_index_map.stale_epoch");
-      return false;
-    }
-    Erased = eraseAt(*T, Key, Image);
-    return true;
+    uint64_t Image;
+    return admit(*T, Key, H, /*Op=*/2, Image) && eraseAt(*T, Key, Image);
   }
 
-  /// Labeled batch lookup over pre-hashed images (same contract as
-  /// getBatch otherwise); false and untouched outputs on label
-  /// mismatch.
-  bool getBatchHashed(const uint64_t *Images, uint64_t EpochLabel,
-                      Value *Out, uint8_t *Found, size_t N,
-                      size_t &Hits) const {
+  /// Routed batch lookup with getBatch's outputs: Images[I] is a hint
+  /// for Keys[I], all labeled \p Epoch. While the label is the active
+  /// table's epoch the images probe chunk by chunk as getBatch's do;
+  /// otherwise each key is judged as getRouted judges a key with no
+  /// hint.
+  size_t getBatchRouted(const std::string_view *Keys, const uint64_t *Images,
+                        uint64_t Epoch, Value *Out, uint8_t *Found,
+                        size_t N) const {
     const Table *T = active();
-    if (T->Epoch != EpochLabel) {
+    size_t Hits = 0;
+    if (T->Epoch == Epoch) {
+      for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
+        const size_t Count = std::min(shard::ChunkSize, N - Base);
+        Hits += probeChunk(*T, Images + Base, Count, Out + Base, Found + Base);
+      }
+    } else {
       SEPE_COUNT("sharded_index_map.stale_epoch");
-      return false;
-    }
-    Hits = 0;
-    for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
-      const size_t Count = std::min(shard::ChunkSize, N - Base);
-      Hits += probeChunk(*T, Images + Base, Count, Out + Base, Found + Base);
+      for (size_t I = 0; I != N; ++I) {
+        uint64_t Image;
+        Found[I] = admit(*T, Keys[I], std::nullopt, /*Op=*/0, Image) &&
+                   lookup(T->shardFor(Image), Image, Out[I]);
+        Hits += Found[I];
+      }
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
     SEPE_COUNT_N("sharded_index_map.get.miss", N - Hits);
-    return true;
-  }
-
-  /// Guarded probe: checks the key against the active generation's own
-  /// pattern before hashing with that generation's plan — table,
-  /// pattern and hash come from one load, so this is the always-correct
-  /// (if slower) path the serving layer falls back to around a
-  /// migration, and the soundness gate for keys of unknown provenance:
-  /// a non-conforming key never reaches an image probe.
-  ProbeResult getGuarded(std::string_view Key, Value &Out) const {
-    const Table *T = active();
-    if (!T->Pattern.matches(Key)) {
-      SEPE_EVENT("sharded.guard.reject", T->Epoch, 0);
-      return ProbeResult::NotAdmitted;
-    }
-    const uint64_t Image = T->Hash(Key);
-    return lookup(T->shardFor(Image), Image, Out) ? ProbeResult::Hit
-                                                  : ProbeResult::Miss;
-  }
-
-  /// Guarded insert: false when the key is not admitted by the active
-  /// pattern (nothing written); \p Inserted reports the insert outcome
-  /// otherwise.
-  bool putGuarded(std::string_view Key, Value V, bool &Inserted) {
-    Table *T = activeMutable();
-    if (!T->Pattern.matches(Key)) {
-      SEPE_EVENT("sharded.guard.reject", T->Epoch, 1);
-      return false;
-    }
-    Inserted = putAt(*T, Key, T->Hash(Key), std::move(V));
-    return true;
-  }
-
-  /// Guarded erase: false when not admitted; \p Erased reports the
-  /// erase outcome otherwise.
-  bool eraseGuarded(std::string_view Key, bool &Erased) {
-    Table *T = activeMutable();
-    if (!T->Pattern.matches(Key)) {
-      SEPE_EVENT("sharded.guard.reject", T->Epoch, 2);
-      return false;
-    }
-    Erased = eraseAt(*T, Key, T->Hash(Key));
-    return true;
+    return Hits;
   }
 
   /// Hot swap to \p NewHash / \p NewPattern under generation label
@@ -543,6 +505,38 @@ private:
 
   const Table *active() const { return Active.load(std::memory_order_acquire); }
   Table *activeMutable() { return Active.load(std::memory_order_acquire); }
+
+  /// The image the routed entry points probe for \p Key in \p T: the
+  /// hint's while its label is T's epoch, else T's own hash of a key
+  /// T's own pattern admits. False when that pattern rejects Key, which
+  /// is then not in the map (\p Op tags the reject event: 0 get, 1 put,
+  /// 2 erase).
+  static bool admit(const Table &T, std::string_view Key,
+                    const std::optional<Hint> &H, unsigned Op,
+                    uint64_t &Image) {
+    if (H && H->Epoch == T.Epoch) {
+      Image = H->Image;
+      return true;
+    }
+    return judge(T, Key, H.has_value(), Op, Image);
+  }
+
+  /// admit() for a key with no current hint: T's own pattern check and
+  /// hash. Out of line, so a hinted probe stays small enough to inline
+  /// into its caller and goes from label compare straight to lookup().
+  [[gnu::noinline]] static bool judge(const Table &T, std::string_view Key,
+                                      [[maybe_unused]] bool Stale,
+                                      [[maybe_unused]] unsigned Op,
+                                      uint64_t &Image) {
+    if (Stale)
+      SEPE_COUNT("sharded_index_map.stale_epoch");
+    if (!T.Pattern.matches(Key)) {
+      SEPE_EVENT("sharded.guard.reject", T.Epoch, Op);
+      return false;
+    }
+    Image = T.Hash(Key);
+    return true;
+  }
 
   /// Validated lock-free probes a reader tries before it takes the
   /// shard's read lock; each fails only if a write section overlapped.

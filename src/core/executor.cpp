@@ -887,7 +887,7 @@ bool guardedFixedXorOne(const HashPlan &Plan, const BatchGuard &G,
     Hash ^= W;
     Bad |= (W & G.StepMasks[S]) ^ G.StepValues[S];
   }
-  for (const BatchGuard::Check &C : G.Extra)
+  for (const KeyPattern::WordCheck &C : G.Extra)
     Bad |= (loadU64Le(D + C.Offset) & C.Mask) ^ C.Value;
   if (Bad != 0)
     return false;
@@ -917,7 +917,7 @@ size_t guardedFixedXorBatch(const HashPlan &Plan, const BatchGuard &G,
   const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
   const uint64_t *GM = G.StepMasks.data();
   const uint64_t *GV = G.StepValues.data();
-  const BatchGuard::Check *Extra = G.Extra.data();
+  const KeyPattern::WordCheck *Extra = G.Extra.data();
   const size_t NumExtra = G.Extra.size();
   const size_t Len = G.KeyLen;
   constexpr size_t Chunk = 64;
@@ -994,6 +994,47 @@ size_t guardedFixedXorBatch(const HashPlan &Plan, const BatchGuard &G,
   return Misses;
 }
 
+/// hashBatchGuarded for a guard with no fused kernel: a membership
+/// sweep per block, then \p Hash's batch kernel over the admitted keys,
+/// in place when the whole block is admitted, compacted otherwise.
+size_t sweepThenHashBatch(const SynthesizedHash &Hash, const KeyPattern &Guard,
+                          const std::string_view *Keys, uint64_t *Out,
+                          size_t N, uint32_t *MissIdx) {
+  // Stack-block size mirrors FlatIndexMap::insertBatch: big enough to
+  // amortize the per-call dispatch, small enough to stay in L1.
+  constexpr size_t Block = 256;
+  uint8_t Admit[Block];
+  std::string_view Pass[Block];
+  uint64_t PassOut[Block];
+  uint32_t PassIdx[Block];
+  size_t Misses = 0;
+  for (size_t Base = 0; Base < N; Base += Block) {
+    const size_t Count = N - Base < Block ? N - Base : Block;
+    const size_t Admitted = Guard.matchesBatch(Keys + Base, Admit, Count);
+    if (Admitted == Count) {
+      // Whole block in-format: hash in place, no compaction copy.
+      Hash.hashBatch(Keys + Base, Out + Base, Count);
+      continue;
+    }
+    size_t P = 0;
+    for (size_t I = 0; I != Count; ++I) {
+      if (Admit[I]) {
+        Pass[P] = Keys[Base + I];
+        PassIdx[P] = static_cast<uint32_t>(Base + I);
+        ++P;
+      } else {
+        MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
+      }
+    }
+    if (P != 0) {
+      Hash.hashBatch(Pass, PassOut, P);
+      for (size_t I = 0; I != P; ++I)
+        Out[PassIdx[I]] = PassOut[I];
+    }
+  }
+  return Misses;
+}
+
 using GuardedBatchFnT = size_t (*)(const HashPlan &, const BatchGuard &,
                                    const std::string_view *, uint64_t *,
                                    size_t, uint32_t *);
@@ -1014,20 +1055,11 @@ BatchGuard SynthesizedHash::compileGuard(const KeyPattern &Guard) const {
       return G; // Plan loads outside the guarded length; stay two-pass.
 
   // Express the guard's constant bits on the windows the kernel loads.
-  const auto PackWindow = [&](size_t Offset, uint64_t &Mask,
-                              uint64_t &Value) {
-    for (size_t I = 0; I != 8; ++I) {
-      const BytePattern &B = Guard.byteAt(Offset + I);
-      Mask |= uint64_t{B.constMask()} << (8 * I);
-      Value |= uint64_t{B.constValue()} << (8 * I);
-    }
-  };
   std::vector<bool> Covered(Len, false);
   for (const PlanStep &S : Plan->Steps) {
-    uint64_t Mask = 0, Value = 0;
-    PackWindow(S.Offset, Mask, Value);
-    G.StepMasks.push_back(Mask);
-    G.StepValues.push_back(Value);
+    const KeyPattern::WordCheck W = Guard.packWindow(S.Offset);
+    G.StepMasks.push_back(W.Mask);
+    G.StepValues.push_back(W.Value);
     for (size_t I = 0; I != 8; ++I)
       Covered[S.Offset + I] = true;
   }
@@ -1038,10 +1070,7 @@ BatchGuard SynthesizedHash::compileGuard(const KeyPattern &Guard) const {
     if (Covered[P] || Guard.byteAt(P).constMask() == 0)
       continue;
     const size_t Offset = P < Len - 8 ? P : Len - 8;
-    BatchGuard::Check C;
-    C.Offset = static_cast<uint32_t>(Offset);
-    PackWindow(Offset, C.Mask, C.Value);
-    G.Extra.push_back(C);
+    G.Extra.push_back(Guard.packWindow(Offset));
     for (size_t I = 0; I != 8; ++I)
       Covered[Offset + I] = true;
   }
@@ -1057,7 +1086,7 @@ size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,
                                          uint32_t *MissIdx) const {
   assert(Plan && "hashing with an empty SynthesizedHash");
   if (!Compiled.Fused)
-    return hashBatchGuarded(Guard, Keys, Out, N, MissIdx);
+    return sweepThenHashBatch(*this, Guard, Keys, Out, N, MissIdx);
   assert(Compiled.StepMasks.size() == Plan->Steps.size() &&
          "guard compiled against a different plan");
   const GuardedBatchFnT Kernel =
@@ -1065,46 +1094,6 @@ size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,
         return guardedFixedXorBatch<S>;
       });
   return Kernel(*Plan, Compiled, Keys, Out, N, MissIdx);
-}
-
-size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,
-                                         const std::string_view *Keys,
-                                         uint64_t *Out, size_t N,
-                                         uint32_t *MissIdx) const {
-  assert(Plan && "hashing with an empty SynthesizedHash");
-  // Stack-block size mirrors FlatIndexMap::insertBatch: big enough to
-  // amortize the per-call dispatch, small enough to stay in L1.
-  constexpr size_t Block = 256;
-  uint8_t Admit[Block];
-  std::string_view Pass[Block];
-  uint64_t PassOut[Block];
-  uint32_t PassIdx[Block];
-  size_t Misses = 0;
-  for (size_t Base = 0; Base < N; Base += Block) {
-    const size_t Count = N - Base < Block ? N - Base : Block;
-    const size_t Admitted = Guard.matchesBatch(Keys + Base, Admit, Count);
-    if (Admitted == Count) {
-      // Whole block in-format: hash in place, no compaction copy.
-      hashBatch(Keys + Base, Out + Base, Count);
-      continue;
-    }
-    size_t P = 0;
-    for (size_t I = 0; I != Count; ++I) {
-      if (Admit[I]) {
-        Pass[P] = Keys[Base + I];
-        PassIdx[P] = static_cast<uint32_t>(Base + I);
-        ++P;
-      } else {
-        MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
-      }
-    }
-    if (P != 0) {
-      hashBatch(Pass, PassOut, P);
-      for (size_t I = 0; I != P; ++I)
-        Out[PassIdx[I]] = PassOut[I];
-    }
-  }
-  return Misses;
 }
 
 SynthesizedHash::SynthesizedHash(std::shared_ptr<const HashPlan> Plan,

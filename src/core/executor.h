@@ -106,13 +106,6 @@ inline void recordBatchDispatch(BatchPath Resolved, size_t N) {
 /// means the plan shape has no fused kernel and guarded dispatch falls
 /// back to the membership-sweep-then-compact path.
 struct BatchGuard {
-  /// One standalone check: (loadU64Le(Key + Offset) & Mask) == Value.
-  struct Check {
-    uint32_t Offset = 0;
-    uint64_t Mask = 0;
-    uint64_t Value = 0;
-  };
-
   bool fused() const { return Fused; }
 
   bool Fused = false;
@@ -120,7 +113,8 @@ struct BatchGuard {
   /// Aligned index-for-index with the plan's Steps.
   std::vector<uint64_t> StepMasks;
   std::vector<uint64_t> StepValues;
-  std::vector<Check> Extra;
+  /// Standalone checks of constant positions no step loads.
+  std::vector<KeyPattern::WordCheck> Extra;
 };
 
 /// A container-ready hash functor backed by a HashPlan. Copyable and
@@ -174,19 +168,6 @@ public:
     Batch(*Plan, Keys, Out, N);
   }
 
-  /// Guard-aware batch dispatch, the entry point the adaptive runtime
-  /// (runtime/adaptive_hash.h) hashes through: every key admitted by
-  /// \p Guard runs the batch kernel and lands in Out at its own index;
-  /// the indices of the rejected keys are appended to \p MissIdx (caller
-  /// provides capacity for N) and their Out slots are left untouched for
-  /// the caller's fallback lane. The common all-admitted block costs one
-  /// word-at-a-time membership sweep plus the ordinary hashBatch call —
-  /// no compaction copy; mixed blocks compact the admitted keys so the
-  /// batch kernel still runs wide. Returns the number of misses.
-  size_t hashBatchGuarded(const KeyPattern &Guard,
-                          const std::string_view *Keys, uint64_t *Out,
-                          size_t N, uint32_t *MissIdx) const;
-
   /// Compiles \p Guard against this plan's load schedule (see
   /// BatchGuard). Returns a non-fused guard when the plan shape has no
   /// fused kernel — fixed-length Naive/OffXor plans whose loads lie
@@ -195,11 +176,20 @@ public:
   /// adaptive runtime compiles one per published generation.
   BatchGuard compileGuard(const KeyPattern &Guard) const;
 
-  /// hashBatchGuarded with a precompiled guard. \p Compiled must have
-  /// been built by compileGuard on this same hash with this same
-  /// \p Guard. Fused guards run the guard compare inside the batch
-  /// kernel on words it already loads, so steady-state overhead is a
-  /// couple of ALU ops per word instead of a second membership sweep.
+  /// Guard-aware batch dispatch, the entry point the adaptive runtime
+  /// (runtime/adaptive_hash.h) hashes through: every key admitted by
+  /// \p Guard runs the batch kernel and lands in Out at its own index;
+  /// the indices of the rejected keys are appended to \p MissIdx (caller
+  /// provides capacity for N) and their Out slots are left untouched for
+  /// the caller's fallback lane. Returns the number of misses.
+  /// \p Compiled must have been built by compileGuard on this same hash
+  /// with this same \p Guard. Fused guards run the guard compare inside
+  /// the batch kernel on words it already loads, so steady-state
+  /// overhead is a couple of ALU ops per word instead of a second
+  /// membership sweep. Otherwise an all-admitted block costs one
+  /// word-at-a-time membership sweep plus the ordinary hashBatch call,
+  /// and mixed blocks compact the admitted keys so the batch kernel
+  /// still runs wide.
   size_t hashBatchGuarded(const KeyPattern &Guard, const BatchGuard &Compiled,
                           const std::string_view *Keys, uint64_t *Out,
                           size_t N, uint32_t *MissIdx) const;

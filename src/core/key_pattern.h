@@ -163,14 +163,29 @@ public:
     return Out;
   }
 
-private:
-  /// One precomputed word compare of the fixed-length fast path:
-  /// (loadU64Le(Key + Offset) & Mask) == Value.
+  /// One word compare of the pattern's constant bits:
+  /// (loadU64Le(Key + Offset) & Mask) == Value. The fixed-length fast
+  /// path of matches() runs them, and so do the fused batch guards
+  /// (core/executor.h BatchGuard).
   struct WordCheck {
     uint32_t Offset = 0;
     uint64_t Mask = 0;
     uint64_t Value = 0;
   };
+
+  /// Packs a window of eight BytePatterns starting at \p Offset into one
+  /// (mask, value) word compare.
+  WordCheck packWindow(size_t Offset) const {
+    WordCheck C;
+    C.Offset = static_cast<uint32_t>(Offset);
+    for (size_t I = 0; I != 8; ++I) {
+      C.Mask |= uint64_t{Bytes[Offset + I].constMask()} << (8 * I);
+      C.Value |= uint64_t{Bytes[Offset + I].constValue()} << (8 * I);
+    }
+    return C;
+  }
+
+private:
 
   /// The slow path: variable-length and sub-word patterns. Walks the
   /// aligned word tables with a masked partial load for the tail.
@@ -193,18 +208,6 @@ private:
         return false;
     }
     return true;
-  }
-
-  /// Packs a window of eight BytePatterns starting at \p Offset into one
-  /// (mask, value) word compare.
-  WordCheck packWindow(size_t Offset) const {
-    WordCheck C;
-    C.Offset = static_cast<uint32_t>(Offset);
-    for (size_t I = 0; I != 8; ++I) {
-      C.Mask |= uint64_t{Bytes[Offset + I].constMask()} << (8 * I);
-      C.Value |= uint64_t{Bytes[Offset + I].constValue()} << (8 * I);
-    }
-    return C;
   }
 
   /// Packs the per-position (ConstMask, ConstValue) pairs into little-

@@ -11,6 +11,7 @@
 #include <vector>
 
 using namespace sepe;
+using namespace sepe::textio;
 
 namespace {
 
@@ -21,15 +22,16 @@ void appendLine(std::string &Out, const std::string &Line) {
   Out += '\n';
 }
 
-std::string hex64(uint64_t Value) {
+} // namespace
+
+std::string textio::hex64(uint64_t Value) {
   char Buffer[32];
   std::snprintf(Buffer, sizeof(Buffer), "0x%016llx",
                 static_cast<unsigned long long>(Value));
   return Buffer;
 }
 
-/// Splits \p Text into whitespace-separated tokens.
-std::vector<std::string_view> tokenize(std::string_view Line) {
+std::vector<std::string_view> textio::tokenize(std::string_view Line) {
   std::vector<std::string_view> Tokens;
   size_t I = 0;
   while (I < Line.size()) {
@@ -44,7 +46,7 @@ std::vector<std::string_view> tokenize(std::string_view Line) {
   return Tokens;
 }
 
-bool parseU64(std::string_view Token, uint64_t &Out) {
+bool textio::parseU64(std::string_view Token, uint64_t &Out) {
   int Base = 10;
   if (Token.size() > 2 && Token[0] == '0' &&
       (Token[1] == 'x' || Token[1] == 'X')) {
@@ -56,12 +58,10 @@ bool parseU64(std::string_view Token, uint64_t &Out) {
   return Err == std::errc() && End == Token.data() + Token.size();
 }
 
-Error lineError(size_t LineNo, const std::string &Message) {
+Error textio::lineError(size_t LineNo, const std::string &Message) {
   return Error{"line " + std::to_string(LineNo) + ": " + Message,
                std::string::npos};
 }
-
-} // namespace
 
 std::string sepe::serializePlan(const HashPlan &Plan) {
   std::string Out;
@@ -109,16 +109,10 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
   Plan.FixedLength = true;
   bool SawMagic = false, SawFamily = false, SawLen = false;
 
-  size_t LineNo = 0;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    const size_t LineEnd = Text.find('\n', Pos);
-    std::string_view Line =
-        Text.substr(Pos, LineEnd == std::string_view::npos
-                             ? std::string_view::npos
-                             : LineEnd - Pos);
-    Pos = LineEnd == std::string_view::npos ? Text.size() + 1 : LineEnd + 1;
-    ++LineNo;
+  LineReader Lines(Text);
+  std::string_view Line;
+  while (Lines.next(Line)) {
+    const size_t LineNo = Lines.lineNo();
     if (Line.empty() || Line[0] == '#')
       continue;
 
@@ -220,6 +214,9 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     return Error{"skip table and mask count disagree"};
   if (!Plan.FallbackToStl && Plan.FixedLength && Plan.Steps.empty())
     return Error{"fixed-length plan without steps"};
+  // The partial-load Pext kernel reads its one step's mask.
+  if (!Plan.FallbackToStl && Plan.PartialLoad && Plan.Steps.size() != 1)
+    return Error{"partial-load plan without exactly one step"};
   // The kernels load unchecked: a fixed step reads eight bytes at its
   // offset, a partial step the whole key from offset 0.
   for (const PlanStep &S : Plan.Steps)
@@ -227,6 +224,20 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
                          : Plan.FixedLength && S.Offset + 8ull > Plan.MinKeyLen)
       return Error{"step at offset " + std::to_string(S.Offset) +
                    " loads past the key"};
+  // A variable-length kernel loads eight bytes at each running sum of
+  // the skip table but the last, which starts its byte tail; all of it
+  // stays inside the shortest key, as buildSkipTable plans it.
+  if (!Plan.FixedLength) {
+    uint64_t At = 0;
+    for (size_t K = 0; K != Plan.Skip.Skip.size(); ++K) {
+      At += Plan.Skip.Skip[K];
+      const bool Loads = K + 1 != Plan.Skip.Skip.size();
+      if (At + (Loads ? 8 : 0) > Plan.MinKeyLen)
+        return Error{"skip table entry " + std::to_string(K) +
+                     " at offset " + std::to_string(At) +
+                     " reaches past the key"};
+    }
+  }
   // Image-keyed containers trust this flag to drop the key text.
   if (Plan.Bijective != provesBijective(Plan))
     return Error{"the bijective flag disagrees with the plan's steps"};

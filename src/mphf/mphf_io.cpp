@@ -8,24 +8,17 @@
 
 #include "core/plan_io.h"
 
+#include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 using namespace sepe;
+using namespace sepe::textio;
 
 namespace {
 
 constexpr const char *Magic = "sepe-mphf v2";
-
-std::string hex64(uint64_t Value) {
-  char Buffer[32];
-  std::snprintf(Buffer, sizeof(Buffer), "0x%016llx",
-                static_cast<unsigned long long>(Value));
-  return Buffer;
-}
 
 /// Appends \p Values as 'Prefix v v v ...' lines, eight values each, so
 /// large plans stay diffable line by line.
@@ -39,38 +32,6 @@ void appendValueLines(std::string &Out, char Prefix,
     }
     Out += '\n';
   }
-}
-
-std::vector<std::string_view> tokenize(std::string_view Line) {
-  std::vector<std::string_view> Tokens;
-  size_t I = 0;
-  while (I < Line.size()) {
-    while (I < Line.size() && Line[I] == ' ')
-      ++I;
-    const size_t Begin = I;
-    while (I < Line.size() && Line[I] != ' ')
-      ++I;
-    if (I > Begin)
-      Tokens.push_back(Line.substr(Begin, I - Begin));
-  }
-  return Tokens;
-}
-
-bool parseU64(std::string_view Token, uint64_t &Out) {
-  int Base = 10;
-  if (Token.size() > 2 && Token[0] == '0' &&
-      (Token[1] == 'x' || Token[1] == 'X')) {
-    Token.remove_prefix(2);
-    Base = 16;
-  }
-  const auto [End, Err] =
-      std::from_chars(Token.data(), Token.data() + Token.size(), Out, Base);
-  return Err == std::errc() && End == Token.data() + Token.size();
-}
-
-Error lineError(size_t LineNo, const std::string &Message) {
-  return Error{"line " + std::to_string(LineNo) + ": " + Message,
-               std::string::npos};
 }
 
 /// Pilots the builder stores for a bucket of \p M keys: none when it
@@ -124,16 +85,10 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
   bool InPlan = false;
   std::string PlanText;
 
-  size_t LineNo = 0;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    const size_t LineEnd = Text.find('\n', Pos);
-    std::string_view Line =
-        Text.substr(Pos, LineEnd == std::string_view::npos
-                             ? std::string_view::npos
-                             : LineEnd - Pos);
-    Pos = LineEnd == std::string_view::npos ? Text.size() + 1 : LineEnd + 1;
-    ++LineNo;
+  LineReader Lines(Text);
+  std::string_view Line;
+  while (Lines.next(Line)) {
+    const size_t LineNo = Lines.lineNo();
 
     if (InPlan) {
       if (Line == "endplan") {

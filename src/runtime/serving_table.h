@@ -15,18 +15,20 @@
 ///
 /// Routing discipline (the part that makes hot swaps lossless):
 ///
-///   - The steady-state path uses AdaptiveHash::routeBatch images and
-///     the fast lane's *labeled* entry points: every probe validates
-///     that the image's generation still keys the active table, inside
-///     one table load, so a migration landing between hash and probe is
-///     detected, never silently probed across (ProbeResult::Stale).
-///   - Stale probes redo through the fast lane's *guarded* entry points
-///     (pattern check + hash + probe against one table load).
-///   - A key the guard rejects lives in the spill lane. Pattern updates
-///     only ever widen (the quad join is monotone), so a rejected key
-///     cannot be sitting in the fast lane — no double bookkeeping.
+///   - Each operation enters the fast lane once, through its *routed*
+///     entry points, passing AdaptiveHash::route's image (routeBatch's
+///     for getBatch) as a hint labeled with route's epoch. The lane uses
+///     the image only while the label is its active table's epoch,
+///     compared inside the same table load, so a migration landing
+///     between hash and probe is never silently probed across. Every
+///     other key — a stale label, or one route() rejected — the lane
+///     judges against its own pattern and hashes with its own plan.
+///   - A key the lane's pattern rejects lives in the spill lane. Pattern
+///     updates only ever widen (the quad join is monotone), so a
+///     rejected key cannot be sitting in the fast lane — no double
+///     bookkeeping.
 ///   - Lookups that miss the fast lane check the spill lane and then
-///     retry the fast lane once: a concurrent sweep moves keys
+///     retry the fast lane once, unhinted: a concurrent sweep moves keys
 ///     spill -> fast (insert first, then remove, under the spill shard
 ///     lock), so a racing reader that misses both lanes mid-move finds
 ///     the key on the retry. Erase takes the lanes in the opposite
@@ -70,6 +72,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -99,18 +102,14 @@ public:
 
   /// \p Pattern seeds the adaptive hash (empty cold-starts on the spill
   /// lane). The fast lane appears as soon as a generation's plan is
-  /// bijective — FlatIndexMap's soundness condition — which in practice
-  /// means AdaptiveOptions::Family should be a bijective family
+  /// invertible for its pattern (laneReady) — the soundness condition
+  /// of an image-keyed map — which in practice means
+  /// AdaptiveOptions::Family should be a bijective family
   /// (HashFamily::Pext) for the fast lane to engage.
   explicit ServingTable(KeyPattern Pattern, AdaptiveOptions Options = {},
                         size_t ShardCountHint = 16)
       : ShardHint(ShardCountHint), Adaptive(std::move(Pattern), Options) {
-    const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
-    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective) {
-      FastStorage = std::make_unique<ShardedIndexMap<Value>>(
-          Snap.Fast, Snap.Pattern, Snap.Epoch, ShardHint);
-      FastPtr.store(FastStorage.get(), std::memory_order_release);
-    }
+    maintain();
   }
 
   ServingTable(const ServingTable &) = delete;
@@ -140,7 +139,7 @@ public:
   size_t sealStatic(const std::string_view *Keys, size_t N) {
     std::lock_guard<std::mutex> Lock(MaintainMutex);
     const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
-    if (!Snap.Fast.valid() || !invertible(Snap.Fast.plan(), Snap.Pattern))
+    if (!laneReady(Snap))
       return 0;
     std::vector<std::string_view> SealedKeys;
     std::vector<Value> SealedValues;
@@ -202,17 +201,14 @@ public:
   /// already present.
   bool put(std::string_view Key, Value V) {
     const AdaptiveHash::Routed R = Adaptive.route(Key);
-    ShardedIndexMap<Value> *F = fast();
-    if (F) {
+    // A key route() rejected still goes to the fast lane, unhinted: the
+    // verdict may come from a retired generation, and the lane re-judges
+    // it against its own pattern, which keeps a re-put of an
+    // already-swept key out of the spill lane. A key the lane rejects
+    // spills until a widened generation's sweep picks it up.
+    if (ShardedIndexMap<Value> *F = fast()) {
       bool Inserted = false;
-      if (R.Admitted && F->putHashed(Key, R.Hash, R.Epoch, V, Inserted))
-        return Inserted;
-      // Stale epoch, or route()'s admission verdict came from a retired
-      // generation: let the fast lane re-judge against its own current
-      // pattern. A key it rejects spills until a widened generation's
-      // sweep picks it up; probing even when R.Admitted is false keeps a
-      // re-put of an already-swept key out of the spill lane.
-      if (F->putGuarded(Key, V, Inserted))
+      if (F->putRouted(Key, hintOf(R), V, Inserted))
         return Inserted;
     }
     return spillInsert(Key, std::move(V));
@@ -225,18 +221,10 @@ public:
   bool erase(std::string_view Key) {
     const AdaptiveHash::Routed R = Adaptive.route(Key);
     const bool SpillErased = spillErase(Key);
-    bool FastErased = false;
+    // The fast lane is asked even when route() rejected the key: the
+    // verdict may predate a swap whose sweep moved it there.
     ShardedIndexMap<Value> *F = fast();
-    if (F) {
-      // Probe the fast lane even when route() said not-admitted: the
-      // verdict may predate a swap whose sweep moved this key into the
-      // fast lane (eraseGuarded re-judges against the current pattern).
-      bool Erased = false;
-      if (R.Admitted && F->eraseHashed(Key, R.Hash, R.Epoch, Erased))
-        FastErased = Erased;
-      else if (F->eraseGuarded(Key, Erased))
-        FastErased = Erased;
-    }
+    const bool FastErased = F && F->eraseRouted(Key, hintOf(R));
     const bool Erased = FastErased || SpillErased;
     // put() never overwrites a present key, so erasing a sealed key is
     // the only way a static-lane value can go stale: drop the lane
@@ -289,6 +277,7 @@ public:
     uint64_t Hashes[RouteBlock];
     uint32_t MissIdx[RouteBlock];
     uint16_t AdmIdx[RouteBlock];
+    std::string_view AdmKeys[RouteBlock];
     uint64_t AdmImages[RouteBlock];
     Value AdmOut[RouteBlock];
     uint8_t AdmFound[RouteBlock];
@@ -297,40 +286,28 @@ public:
       uint64_t Epoch = 0;
       const size_t Misses =
           Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
-      for (size_t I = 0; I != Count; ++I)
-        Found[Base + I] = 2; // Sentinel: undecided.
-      for (size_t I = 0; I != Misses; ++I)
-        Found[Base + MissIdx[I]] = 0;
+      // The keys route admitted (MissIdx is increasing) probe the fast
+      // lane as one routed batch, hinted with their images.
       size_t Admitted = 0;
-      for (size_t I = 0; I != Count; ++I)
-        if (Found[Base + I] == 2) {
-          AdmIdx[Admitted] = static_cast<uint16_t>(I);
-          AdmImages[Admitted] = Hashes[I];
-          ++Admitted;
+      for (size_t I = 0, M = 0; I != Count; ++I) {
+        Found[Base + I] = 0;
+        if (M != Misses && MissIdx[M] == I) {
+          ++M;
+          continue;
         }
-      size_t FastHits = 0;
-      if (F && Admitted != 0 &&
-          F->getBatchHashed(AdmImages, Epoch, AdmOut, AdmFound, Admitted,
-                            FastHits)) {
-        for (size_t I = 0; I != Admitted; ++I) {
-          const size_t K = Base + AdmIdx[I];
-          if (AdmFound[I]) {
-            Out[K] = AdmOut[I];
-            Found[K] = 1;
-          } else {
-            Found[K] = 0;
-          }
-        }
-      } else if (F && Admitted != 0) {
-        // Stale epoch (migration window): guarded per-key redo.
-        for (size_t I = 0; I != Admitted; ++I) {
-          const size_t K = Base + AdmIdx[I];
-          Found[K] =
-              F->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit ? 1 : 0;
-        }
-      } else {
+        AdmIdx[Admitted] = static_cast<uint16_t>(I);
+        AdmKeys[Admitted] = Keys[Base + I];
+        AdmImages[Admitted] = Hashes[I];
+        ++Admitted;
+      }
+      if (F && Admitted != 0) {
+        F->getBatchRouted(AdmKeys, AdmImages, Epoch, AdmOut, AdmFound,
+                          Admitted);
         for (size_t I = 0; I != Admitted; ++I)
-          Found[Base + AdmIdx[I]] = 0;
+          if (AdmFound[I]) {
+            Out[Base + AdmIdx[I]] = AdmOut[I];
+            Found[Base + AdmIdx[I]] = 1;
+          }
       }
       // Spill lane + sweep-race retry for everything still unresolved
       // (reload the lane pointer: see getDynamic() on why the retry must
@@ -349,7 +326,7 @@ public:
         // Loaded after the spill miss so a lane created mid-call is
         // still seen.
         const ShardedIndexMap<Value> *F2 = fast();
-        if (F2 && F2->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit) {
+        if (F2 && F2->getRouted(Keys[K], std::nullopt, Out[K])) {
           SEPE_COUNT("serving_table.get.retry_hit");
           Found[K] = 1;
           ++Hits;
@@ -360,10 +337,12 @@ public:
   }
 
   /// Converges the storage onto the adaptive hash's current generation:
-  /// creates the fast lane when a bijective plan first appears,
-  /// migrates it when the adaptive epoch moved, then sweeps spill keys
-  /// the current pattern admits into the fast lane. Cheap when nothing
-  /// changed; returns true when any work was done. Call after
+  /// creates the fast lane when a generation passes laneReady first,
+  /// migrates it when the adaptive epoch moved to another such
+  /// generation, then sweeps spill keys the lane's pattern admits into
+  /// the fast lane. A lane left behind on an older generation keeps
+  /// serving: it judges every key itself. Cheap when nothing changed;
+  /// returns true when any work was done. Call after
   /// pumpResynthesis(), or periodically from a maintenance thread in
   /// background mode.
   bool maintain() {
@@ -371,19 +350,18 @@ public:
     const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
     ShardedIndexMap<Value> *F = fast();
     bool DidWork = false;
-    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective) {
+    if ((!F || F->epoch() != Snap.Epoch) && laneReady(Snap)) {
       if (!F) {
         FastStorage = std::make_unique<ShardedIndexMap<Value>>(
             Snap.Fast, Snap.Pattern, Snap.Epoch, ShardHint);
         FastPtr.store(FastStorage.get(), std::memory_order_release);
         F = FastStorage.get();
         SEPE_EVENT("serving.lane.create", Snap.Epoch, 0);
-        DidWork = true;
-      } else if (F->epoch() != Snap.Epoch) {
+      } else {
         F->migrate(Snap.Fast, Snap.Pattern, Snap.Epoch);
         SEPE_COUNT("serving_table.fast_lane.migrated");
-        DidWork = true;
       }
+      DidWork = true;
     }
     if (F && SpillCount.load(std::memory_order_acquire) != 0)
       DidWork |= sweepSpill(*F) != 0;
@@ -448,36 +426,42 @@ private:
     return StaticPtr.load(std::memory_order_acquire);
   }
 
-  /// The dynamic-lane probe path (fast -> spill -> guarded retry);
+  /// The fast lane's gate: a generation whose plan is invertible for
+  /// its pattern, which ShardedIndexMap requires of every table and
+  /// which makes a static-lane image hit exact.
+  static bool laneReady(const AdaptiveHash::Snapshot &Snap) {
+    return Snap.Fast.valid() && invertible(Snap.Fast.plan(), Snap.Pattern);
+  }
+
+  /// route()'s image as a fast-lane hint, or none when its guard
+  /// rejected the key.
+  static std::optional<typename ShardedIndexMap<Value>::Hint>
+  hintOf(const AdaptiveHash::Routed &R) {
+    if (!R.Admitted)
+      return std::nullopt;
+    return typename ShardedIndexMap<Value>::Hint{R.Hash, R.Epoch};
+  }
+
+  /// The dynamic-lane probe path (fast -> spill -> unhinted retry);
   /// get() puts the static lane in front of this.
   bool getDynamic(std::string_view Key, Value &Out) const {
     const AdaptiveHash::Routed R = Adaptive.route(Key);
     const ShardedIndexMap<Value> *F = fast();
-    if (F && R.Admitted) {
-      switch (F->getHashed(R.Hash, R.Epoch, Out)) {
-      case ProbeResult::Hit:
-        return true;
-      case ProbeResult::Stale:
-        if (F->getGuarded(Key, Out) == ProbeResult::Hit)
-          return true;
-        break;
-      default:
-        break;
-      }
-    }
+    if (F && R.Admitted && F->getRouted(Key, hintOf(R), Out))
+      return true;
     if (spillFind(Key, Out))
       return true;
     // A concurrent spill->fast sweep may have moved the key after our
-    // fast probe and before our spill probe; one guarded retry closes
+    // fast probe and before our spill probe; one unhinted retry closes
     // the window (moves only ever go in that direction). The retry must
     // NOT be gated on R.Admitted: admission was judged by the (possibly
     // retired) generation route() saw, while the sweep moves exactly
-    // the keys the *new* generation admits — getGuarded re-judges
-    // against the current pattern internally. Reload the lane pointer
+    // the keys the lane's own generation admits, and the lane re-judges
+    // an unhinted key against that pattern. Reload the lane pointer
     // too, for the cold-start case where maintain() created it
     // mid-call.
     if (const ShardedIndexMap<Value> *F2 = fast();
-        F2 && F2->getGuarded(Key, Out) == ProbeResult::Hit) {
+        F2 && F2->getRouted(Key, std::nullopt, Out)) {
       SEPE_COUNT("serving_table.get.retry_hit");
       return true;
     }
@@ -544,7 +528,7 @@ private:
       std::unique_lock<std::shared_mutex> Lock(S.Mutex);
       for (auto It = S.Map.begin(); It != S.Map.end();) {
         bool Inserted = false;
-        if (F.putGuarded(It->first, It->second, Inserted)) {
+        if (F.putRouted(It->first, std::nullopt, It->second, Inserted)) {
           It = S.Map.erase(It);
           SpillCount.fetch_sub(1, std::memory_order_release);
           ++Moved;

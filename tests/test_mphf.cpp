@@ -421,6 +421,23 @@ TEST(MphfIoTest, MalformedInputsFailWithLineNumbers) {
   // The same shape with a consistent tree loads.
   EXPECT_TRUE(deserializeMphf(
       Split("8", "1", "offsets 2\no 0 8\n", "pilotstarts 2\ns 0 1\n")));
+  // An embedded plan goes through the plan loader's bounds: a skip
+  // table that loads inside an 8-byte key loads, one that loads bytes
+  // 4-11 of it does not.
+  const auto WithSkip = [&](const char *Skip) {
+    return Split("8", "1", "offsets 2\no 0 8\n", "pilotstarts 2\ns 0 1\n") +
+           "plan\nsepe-plan v1\nfamily OffXor\nlen 8 16\nflags variable\n"
+           "skip " +
+           Skip + "\nskipmasks 0xff\nendplan\n";
+  };
+  EXPECT_TRUE(deserializeMphf(WithSkip("0 8")));
+  Expected<MphfPlan> PastTheKey = deserializeMphf(WithSkip("4 8"));
+  ASSERT_FALSE(PastTheKey);
+  EXPECT_NE(PastTheKey.error().Message.find("line 19"), std::string::npos)
+      << PastTheKey.error().Message;
+  EXPECT_NE(PastTheKey.error().Message.find("past the key"),
+            std::string::npos)
+      << PastTheKey.error().Message;
 }
 
 TEST(MphfExplainTest, AllThreeFormatsRender) {

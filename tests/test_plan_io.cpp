@@ -153,6 +153,12 @@ TEST(PlanIoTest, RejectsMalformedInput) {
       // offset 0.
       "sepe-plan v1\nfamily OffXor\nlen 11 11\nstep 4 0x1 0\n",
       "sepe-plan v1\nfamily Pext\nlen 5 5\nflags partial\nstep 1 0xf 0\n",
+      // Skip-table loads past the minimum key length: one four billion
+      // bytes out, and one at offset 4 of an 8-byte key.
+      "sepe-plan v1\nfamily OffXor\nlen 8 16\nflags variable\n"
+      "skip 4000000000 8\nskipmasks 0xff\n",
+      "sepe-plan v1\nfamily OffXor\nlen 8 16\nflags variable\n"
+      "skip 4 8\nskipmasks 0xff\n",
   };
   for (const std::string &Text : Bad) {
     Expected<HashPlan> Result = deserializePlan(Text);

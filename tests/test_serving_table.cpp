@@ -212,6 +212,87 @@ TEST(ServingTableTest, DriftSwapMigrateSweepKeepsEveryKeyVisible) {
   EXPECT_FALSE(Table.maintain());
 }
 
+TEST(ServingTableTest, LaneOneEpochBehindServesEveryOperation) {
+  // Between pumpResynthesis() and maintain() route() hashes with the new
+  // generation while the fast lane is still keyed by the old one, so
+  // every hint the table passes carries a stale label. Each operation
+  // must behave as it does once maintain() has migrated the lane: the
+  // lane judges each key against its own pattern and plan.
+  const KeyPattern Pattern = patternOf(SsnRegex);
+  ServingTable<uint64_t> Table(Pattern, servingOptions(),
+                               /*ShardCountHint=*/8);
+  ASSERT_TRUE(Table.hasFastLane());
+  const std::vector<std::string> Pool = distinctKeys(SsnRegex, 516, 5);
+  const std::vector<std::string> InFormat(Pool.begin(), Pool.begin() + 512);
+  const std::vector<std::string> Drifted = driftedCopies(InFormat, Pattern);
+  for (size_t I = 0; I != InFormat.size(); ++I) {
+    ASSERT_TRUE(Table.put(InFormat[I], I));
+    ASSERT_TRUE(Table.put(Drifted[I], InFormat.size() + I));
+  }
+  for (int Round = 0; Round != 8; ++Round)
+    for (const std::string &Key : Drifted) {
+      uint64_t V = 0;
+      ASSERT_TRUE(Table.get(Key, V));
+    }
+  ASSERT_TRUE(Table.adaptive().resynthesisPending());
+  if (!Table.adaptive().pumpResynthesis())
+    GTEST_SKIP() << "joined pattern did not synthesize";
+  ASSERT_NE(Table.stats().FastEpoch, Table.adaptive().epoch())
+      << "the lane must be one epoch behind";
+
+  // Both phases run the same operations on their own keys: Pool[512 + 2P]
+  // is put new, InFormat[P] erased.
+  const auto Exercise = [&](size_t Phase) {
+    SCOPED_TRACE(Phase == 0 ? "lane behind" : "after maintain()");
+    const auto Before = Table.stats();
+    const std::string &Fresh = Pool[512 + 2 * Phase];
+    EXPECT_TRUE(Table.put(Fresh, 7000 + Phase));
+    EXPECT_FALSE(Table.put(Fresh, 1)) << "first insert wins";
+    EXPECT_TRUE(Table.erase(InFormat[Phase]));
+    EXPECT_FALSE(Table.erase(InFormat[Phase]));
+    const auto After = Table.stats();
+    EXPECT_EQ(After.SpillSize, Before.SpillSize)
+        << "an in-format key goes to the fast lane";
+    EXPECT_EQ(After.FastSize, Before.FastSize);
+
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Table.get(Fresh, V));
+    EXPECT_EQ(V, 7000 + Phase);
+    EXPECT_FALSE(Table.get(InFormat[Phase], V));
+
+    std::vector<std::string_view> Views;
+    std::vector<uint64_t> Want;
+    for (size_t I = 0; I != InFormat.size(); ++I) {
+      Views.push_back(InFormat[I]);
+      Want.push_back(I);
+      Views.push_back(Drifted[I]);
+      Want.push_back(InFormat.size() + I);
+    }
+    std::vector<uint64_t> Out(Views.size(), ~0ull);
+    std::vector<uint8_t> Found(Views.size(), 2);
+    EXPECT_EQ(Table.getBatch(Views.data(), Out.data(), Found.data(),
+                             Views.size()),
+              Views.size() - (Phase + 1));
+    for (size_t I = 0; I != Views.size(); ++I) {
+      const bool Erased = I % 2 == 0 && I / 2 <= Phase;
+      ASSERT_EQ(Found[I], Erased ? 0 : 1) << Views[I];
+      V = ~0ull;
+      ASSERT_EQ(Table.get(Views[I], V), !Erased) << Views[I];
+      if (!Erased) {
+        ASSERT_EQ(Out[I], Want[I]) << Views[I];
+        ASSERT_EQ(V, Want[I]) << Views[I];
+      }
+    }
+  };
+  Exercise(0);
+  ASSERT_TRUE(Table.maintain());
+  ASSERT_EQ(Table.stats().FastEpoch, Table.adaptive().epoch());
+  Exercise(1);
+  uint64_t V = 0;
+  ASSERT_TRUE(Table.get(Pool[512], V)) << "the lane-behind put survived";
+  EXPECT_EQ(V, 7000u);
+}
+
 TEST(ServingTableTest, HotSwapUnderConcurrentTrafficLosesNoLookups) {
   // The acceptance criterion, in-process (and the TSan target): client
   // threads hammer both lanes while the main thread drives drift ->

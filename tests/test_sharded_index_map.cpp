@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <malloc.h>
+#include <optional>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -215,90 +217,123 @@ TEST(ShardedIndexMapTest, EntriesSpreadAcrossShards) {
   EXPECT_EQ(Occupied, Map.shardCount());
 }
 
-// --- Labeled and guarded entry points ---------------------------------------
+// --- Routed entry points ---------------------------------------------------
 
-TEST(ShardedIndexMapTest, LabeledProbesValidateEpoch) {
+TEST(ShardedIndexMapTest, RoutedEntriesUseACurrentHint) {
   const SynthesizedHash Hash = bijectivePext(SsnRegex);
   ShardedIndexMap<int> Map(Hash, patternOf(SsnRegex), /*EpochLabel=*/3);
-  const std::string Key = "123-45-6789";
-  const uint64_t Image = Hash(Key);
+  using Hint = ShardedIndexMap<int>::Hint;
+  const std::string Key = "123-45-6789", Other = "999-99-9999";
 
   bool Inserted = false;
-  EXPECT_TRUE(Map.putHashed(Key, Image, 3, 11, Inserted));
+  ASSERT_TRUE(Map.putRouted(Key, Hint{Hash(Key), 3}, 11, Inserted));
   EXPECT_TRUE(Inserted);
-
   int V = 0;
-  EXPECT_EQ(Map.getHashed(Image, 3, V), ProbeResult::Hit);
+  EXPECT_TRUE(Map.getRouted(Key, Hint{Hash(Key), 3}, V));
   EXPECT_EQ(V, 11);
-  EXPECT_EQ(Map.getHashed(Hash("999-99-9999"), 3, V), ProbeResult::Miss);
+  EXPECT_FALSE(Map.getRouted(Other, Hint{Hash(Other), 3}, V));
 
-  // Wrong label: nothing probed, nothing written, nothing erased.
-  EXPECT_EQ(Map.getHashed(Image, 4, V), ProbeResult::Stale);
-  EXPECT_FALSE(Map.putHashed(Key, Image, 4, 12, Inserted));
-  bool Erased = true;
-  EXPECT_FALSE(Map.eraseHashed(Key, Image, 4, Erased));
-  EXPECT_TRUE(Map.contains(Key));
-
-  EXPECT_TRUE(Map.eraseHashed(Key, Image, 3, Erased));
-  EXPECT_TRUE(Erased);
+  // A hint under the active label is taken as the key's image, unchecked:
+  // Other's probe with Key's image finds Key's value.
+  V = 0;
+  EXPECT_TRUE(Map.getRouted(Other, Hint{Hash(Key), 3}, V));
+  EXPECT_EQ(V, 11);
+  EXPECT_TRUE(Map.eraseRouted(Key, Hint{Hash(Key), 3}));
   EXPECT_FALSE(Map.contains(Key));
 }
 
-TEST(ShardedIndexMapTest, LabeledBatchValidatesEpoch) {
+TEST(ShardedIndexMapTest, RoutedEntriesIgnoreAHintUnderAnotherLabel) {
+  const SynthesizedHash Hash = bijectivePext(SsnRegex);
+  ShardedIndexMap<int> Map(Hash, patternOf(SsnRegex), /*EpochLabel=*/3);
+  using Hint = ShardedIndexMap<int>::Hint;
+  const std::string Key = "123-45-6789";
+  ASSERT_TRUE(Map.put(Key, 11));
+
+  // Label 4 is not the active table's, so its image — here a wrong one —
+  // is ignored and the map hashes the key itself.
+  const Hint Stale{Hash("999-99-9999"), 4};
+  int V = 0;
+  EXPECT_TRUE(Map.getRouted(Key, Stale, V));
+  EXPECT_EQ(V, 11);
+  bool Inserted = true;
+  EXPECT_TRUE(Map.putRouted(Key, Stale, 12, Inserted));
+  EXPECT_FALSE(Inserted) << "the key is present";
+  EXPECT_EQ(Map.size(), 1u);
+  EXPECT_TRUE(Map.eraseRouted(Key, Stale));
+  EXPECT_FALSE(Map.contains(Key));
+
+  // Without a hint the map hashes the key itself too.
+  ASSERT_TRUE(Map.putRouted(Key, std::nullopt, 13, Inserted));
+  EXPECT_TRUE(Inserted);
+  EXPECT_TRUE(Map.getRouted(Key, std::nullopt, V));
+  EXPECT_EQ(V, 13);
+}
+
+TEST(ShardedIndexMapTest, RoutedBatchUnderAStaleLabelJudgesEveryKey) {
   const SynthesizedHash Hash = bijectivePext(SsnRegex);
   ShardedIndexMap<uint64_t> Map(Hash, patternOf(SsnRegex),
                                 /*EpochLabel=*/9);
   const std::vector<std::string> Keys = distinctKeys(SsnRegex, 200, 0xd);
-  const std::vector<std::string_view> Views(Keys.begin(), Keys.end());
-  std::vector<uint64_t> Images(Keys.size());
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    ASSERT_TRUE(Map.put(Keys[I], I));
+  // Then keys that must miss: in-format ones never inserted.
+  const std::vector<std::string> Absent = distinctKeys(SsnRegex, 40, 0xd1);
+  for (const std::string &K : Absent)
+    if (!Map.contains(K))
+      Views.push_back(K);
+  std::vector<uint64_t> Out(Views.size() + 1);
+  std::vector<uint8_t> Found(Views.size() + 1);
+  const auto Expect = [&](size_t Hits, size_t N) {
+    EXPECT_EQ(Hits, Keys.size());
+    for (size_t I = 0; I != N; ++I) {
+      ASSERT_EQ(Found[I], I < Keys.size() ? 1 : 0) << Views[I];
+      if (I < Keys.size()) {
+        ASSERT_EQ(Out[I], I);
+      }
+    }
+  };
+
+  std::vector<uint64_t> Images(Views.size());
   Hash.hashBatch(Views.data(), Images.data(), Views.size());
-  std::vector<uint64_t> Values(Keys.size());
-  for (size_t I = 0; I != Keys.size(); ++I)
-    Values[I] = I;
+  Expect(Map.getBatchRouted(Views.data(), Images.data(), 9, Out.data(),
+                            Found.data(), Views.size()),
+         Views.size());
 
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    bool Inserted = false;
-    ASSERT_FALSE(Map.putHashed(Views[I], Images[I], 8, Values[I], Inserted));
-  }
-  EXPECT_EQ(Map.size(), 0u) << "stale insert must write nothing";
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    bool Inserted = false;
-    ASSERT_TRUE(Map.putHashed(Views[I], Images[I], 9, Values[I], Inserted));
-    ASSERT_TRUE(Inserted);
-  }
-
-  std::vector<uint64_t> Out(Keys.size());
-  std::vector<uint8_t> Found(Keys.size());
-  size_t Hits = 0;
-  EXPECT_FALSE(Map.getBatchHashed(Images.data(), 8, Out.data(), Found.data(),
-                                  Images.size(), Hits));
-  EXPECT_TRUE(Map.getBatchHashed(Images.data(), 9, Out.data(), Found.data(),
-                                 Images.size(), Hits));
-  EXPECT_EQ(Hits, Keys.size());
-  for (size_t I = 0; I != Keys.size(); ++I)
-    ASSERT_EQ(Out[I], I);
+  // Under a stale label the images — all zero here — are ignored, and a
+  // key the pattern rejects misses.
+  Views.push_back("not-an-ssn!");
+  const std::vector<uint64_t> Zero(Views.size(), 0);
+  std::fill(Out.begin(), Out.end(), ~0ull);
+  std::fill(Found.begin(), Found.end(), 2);
+  Expect(Map.getBatchRouted(Views.data(), Zero.data(), 8, Out.data(),
+                            Found.data(), Views.size()),
+         Views.size());
 }
 
-TEST(ShardedIndexMapTest, GuardedProbesRejectNonConformingKeys) {
-  ShardedIndexMap<int> Map(bijectivePext(SsnRegex), patternOf(SsnRegex));
-  bool Inserted = false;
-  ASSERT_TRUE(Map.putGuarded("123-45-6789", 5, Inserted));
-  EXPECT_TRUE(Inserted);
+TEST(ShardedIndexMapTest, RoutedEntriesRejectNonConformingKeys) {
+  const SynthesizedHash Hash = bijectivePext(SsnRegex);
+  ShardedIndexMap<int> Map(Hash, patternOf(SsnRegex), /*EpochLabel=*/5);
+  ASSERT_TRUE(Map.put("123-45-6789", 5));
+  // '+' where the format has its constant '-': the plan extracts only
+  // free bits, so this key has the resident key's image. Only the
+  // pattern check keeps it from aliasing that key.
+  const std::string Alias = "123+45+6789";
+  ASSERT_EQ(Hash(Alias), Hash("123-45-6789"));
 
-  int V = 0;
-  EXPECT_EQ(Map.getGuarded("123-45-6789", V), ProbeResult::Hit);
-  EXPECT_EQ(V, 5);
-  EXPECT_EQ(Map.getGuarded("000-00-0000", V), ProbeResult::Miss);
-  // Wrong shape: the guard turns it away before any image probe (an
-  // image probe with a non-conforming key would be unsound).
-  EXPECT_EQ(Map.getGuarded("not-an-ssn!", V), ProbeResult::NotAdmitted);
-  EXPECT_FALSE(Map.putGuarded("not-an-ssn!", 6, Inserted));
-  bool Erased = false;
-  EXPECT_FALSE(Map.eraseGuarded("not-an-ssn!", Erased));
-  EXPECT_EQ(Map.size(), 1u);
-
-  ASSERT_TRUE(Map.eraseGuarded("123-45-6789", Erased));
-  EXPECT_TRUE(Erased);
+  for (const std::optional<ShardedIndexMap<int>::Hint> H :
+       {std::optional<ShardedIndexMap<int>::Hint>(),
+        std::optional<ShardedIndexMap<int>::Hint>({Hash(Alias), 4})}) {
+    int V = 0;
+    EXPECT_FALSE(Map.getRouted(Alias, H, V));
+    EXPECT_EQ(V, 0) << "a miss leaves Out untouched";
+    bool Inserted = false;
+    EXPECT_FALSE(Map.putRouted(Alias, H, 6, Inserted)) << "not admitted";
+    EXPECT_FALSE(Map.eraseRouted(Alias, H));
+    EXPECT_EQ(Map.size(), 1u) << "nothing written";
+    ASSERT_TRUE(Map.get("123-45-6789", V));
+    EXPECT_EQ(V, 5);
+  }
 }
 
 // --- Migration --------------------------------------------------------------
@@ -504,6 +539,7 @@ TEST(ShardedIndexMapTest, LockFreeReadersSurviveGrowthAndSweeps) {
       Started.fetch_add(1, std::memory_order_relaxed);
       std::mt19937_64 Rng(0x5eed + T);
       const SynthesizedHash Hash = Map.hasher();
+      using Hint = ShardedIndexMap<uint64_t>::Hint;
       const auto Check = [&Wrong](bool Ok) {
         if (!Ok)
           Wrong.fetch_add(1, std::memory_order_relaxed);
@@ -518,14 +554,13 @@ TEST(ShardedIndexMapTest, LockFreeReadersSurviveGrowthAndSweeps) {
         uint64_t V = ~0ull;
         Check(Map.get(Keys[R], V) && V == R);
         V = ~0ull;
-        Check(Map.getHashed(Hash(Keys[R]), 0, V) == ProbeResult::Hit &&
-              V == R);
+        Check(Map.getRouted(Keys[R], Hint{Hash(Keys[R]), 0}, V) && V == R);
         V = ~0ull;
-        Check(Map.getGuarded(Keys[R], V) == ProbeResult::Hit && V == R);
+        Check(Map.getRouted(Keys[R], std::nullopt, V) && V == R);
         const std::string &Missing = Absent[Rng() % Absent.size()];
         Check(!Map.get(Missing, V));
-        Check(Map.getHashed(Hash(Missing), 0, V) == ProbeResult::Miss);
-        Check(Map.getGuarded(Missing, V) == ProbeResult::Miss);
+        Check(!Map.getRouted(Missing, Hint{Hash(Missing), 0}, V));
+        Check(!Map.getRouted(Missing, std::nullopt, V));
 
         // Even slots resident (Want = value), odd slots never inserted.
         for (size_t I = 0; I != shard::ChunkSize; ++I) {
@@ -541,10 +576,8 @@ TEST(ShardedIndexMapTest, LockFreeReadersSurviveGrowthAndSweeps) {
         };
         CheckBatch(Map.getBatch(Batch, Out, Found, shard::ChunkSize));
         Hash.hashBatch(Batch, Images, shard::ChunkSize);
-        size_t Hits = 0;
-        Check(Map.getBatchHashed(Images, 0, Out, Found, shard::ChunkSize,
-                                 Hits));
-        CheckBatch(Hits);
+        CheckBatch(
+            Map.getBatchRouted(Batch, Images, 0, Out, Found, shard::ChunkSize));
       }
     });
 
@@ -625,9 +658,12 @@ TEST(ShardedIndexMapTest, SingleKeyReadsNeverSeeAHalfBuiltBlock) {
         uint64_t V = ~0ull;
         bool Ok = Map.get(Keys[R], V) && V == R;
         V = ~0ull;
-        Ok &= Map.getHashed(Hash(Keys[R]), 0, V) == ProbeResult::Hit && V == R;
+        Ok &= Map.getRouted(Keys[R], ShardedIndexMap<uint64_t>::Hint{
+                                         Hash(Keys[R]), 0},
+                            V) &&
+              V == R;
         V = ~0ull;
-        Ok &= Map.getGuarded(Keys[R], V) == ProbeResult::Hit && V == R;
+        Ok &= Map.getRouted(Keys[R], std::nullopt, V) && V == R;
         if (!Ok)
           Wrong.fetch_add(1, std::memory_order_relaxed);
       }
@@ -661,17 +697,12 @@ TEST(ShardedIndexMapTest, SingleKeyReadsNeverSeeAHalfBuiltBlock) {
 TEST(ShardedIndexMapTest, NoTornEpochUnderConcurrentMigrations) {
   // Label, hash and pattern live in one published Table: a reader that
   // hashes through hasher() and immediately probes with the epoch it
-  // read must either be consistent (Hit) or cleanly told it straddled a
-  // swap (Stale) — never a silent wrong-table probe. Detection: each
-  // generation G writes value G for a sentinel key; a torn probe would
-  // return a value from a different generation than the label claimed.
-  // Because getHashed validates the label against the table it probes,
-  // a reader whose epoch() and hasher() loads straddle a swap can only
-  // get Stale: the label admits the probe only when epoch, hash and
-  // shards all came from the same generation (epochs are monotone, so
-  // label == active epoch pins the hasher() load to the same table).
-  // Hence for an always-present key, Hit-with-the-value and Stale are
-  // the only legal outcomes; a Miss or a wrong value is a torn epoch.
+  // read must hit the sentinel with its value, whether or not the two
+  // loads straddled a swap. The routed get compares the label with the
+  // table it probes: a label that matches the active epoch pins the
+  // hasher() load to that same table (epochs are monotone), and any
+  // other label makes the map hash the key itself. A Miss or a wrong
+  // value is a torn epoch.
   const std::string Sentinel = "271-82-8182";
   ShardedIndexMap<uint64_t> Map(bijectivePext(SsnRegex),
                                 patternOf(SsnRegex), 0, 4);
@@ -686,9 +717,9 @@ TEST(ShardedIndexMapTest, NoTornEpochUnderConcurrentMigrations) {
         const uint64_t Epoch = Map.epoch();
         const uint64_t Image = Map.hasher()(Sentinel);
         uint64_t V = ~0ull;
-        const ProbeResult R = Map.getHashed(Image, Epoch, V);
-        if (R == ProbeResult::Miss ||
-            (R == ProbeResult::Hit && V != 42))
+        if (!Map.getRouted(Sentinel,
+                           ShardedIndexMap<uint64_t>::Hint{Image, Epoch}, V) ||
+            V != 42)
           Torn.fetch_add(1, std::memory_order_relaxed);
       }
     });
