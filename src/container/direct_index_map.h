@@ -12,11 +12,14 @@
 /// each slot also stores the 64-bit base image of the key sealed there,
 /// and a lookup hits only when its own base image equals the slot's.
 ///
-/// The map holds the key format as a KeyPattern guard and checks it
-/// before imaging any key: the extraction plan's fixed-length kernels
-/// load whole words at the plan's offsets whatever the key's length, so
-/// only a key the guard admits may reach them. Construction rejects a
-/// key set the guard does not admit.
+/// The map compiles the MPHF's extraction plan and the key format's
+/// KeyPattern into one GuardedHash (core/executor.h), which checks each
+/// key and images it in one pass: the extraction plan's fixed-length
+/// kernels load whole words at the plan's offsets whatever the key's
+/// length, so only a key the guard admits may be imaged. A raw-byte
+/// MPHF has no extraction plan; its keys are checked against the
+/// pattern and then mixed. Construction rejects a key set the guard
+/// does not admit.
 ///
 /// Exactness:
 ///   - When the MPHF's extraction plan is invertible for the guard
@@ -36,6 +39,7 @@
 #ifndef SEPE_CONTAINER_DIRECT_INDEX_MAP_H
 #define SEPE_CONTAINER_DIRECT_INDEX_MAP_H
 
+#include "core/executor.h"
 #include "core/key_pattern.h"
 #include "mphf/mphf.h"
 #include "support/telemetry.h"
@@ -61,19 +65,18 @@ public:
   /// silently-wrong map.
   DirectIndexMap(Mphf F, KeyPattern Guard, const std::string_view *Keys,
                  const Value *Vals, size_t N)
-      : F(std::move(F)), Guard(std::move(Guard)) {
+      : F(std::move(F)), Guarded(this->F.extraction(), std::move(Guard)) {
     if (!this->F.valid() || this->F.size() != N || N == 0)
       return;
     Values.resize(N);
     Images.assign(N, 0);
     std::vector<uint64_t> Seen((N + 63) / 64, 0);
     std::vector<uint64_t> Bases(std::min<size_t>(N, 4096));
-    std::vector<uint8_t> Admit(Bases.size());
+    std::vector<uint32_t> MissIdx(Bases.size());
     for (size_t At = 0; At < N;) {
       const size_t Chunk = std::min(Bases.size(), N - At);
-      if (this->Guard.matchesBatch(Keys + At, Admit.data(), Chunk) != Chunk)
+      if (imageBatch(Keys + At, Bases.data(), Chunk, MissIdx.data()) != 0)
         return; // a key outside the guarded format
-      this->F.baseBatch(Keys + At, Bases.data(), Chunk);
       for (size_t I = 0; I != Chunk; ++I) {
         const uint64_t Slot = this->F.slotFromBase(Bases[I]);
         if (Slot >= N || ((Seen[Slot / 64] >> (Slot % 64)) & 1))
@@ -95,9 +98,10 @@ public:
   /// Pointer to the value sealed under \p Key, or nullptr when the
   /// guard rejects \p Key or the slot's image differs from its image.
   const Value *find(std::string_view Key) const {
-    if (!Sealed || !Guard.matches(Key))
+    uint64_t Image;
+    if (!Sealed || !Guarded.admit(Key, Image))
       return nullptr;
-    const uint64_t Base = F.baseImage(Key);
+    const uint64_t Base = F.baseImage(Key, Image);
     const uint64_t Slot = F.slotFromBase(Base);
     if (Images[Slot] != Base) {
       SEPE_COUNT("direct_index.find.reject");
@@ -107,14 +111,12 @@ public:
     return &Values[Slot];
   }
 
-  /// Batch lookup: Out[i] = find(Keys[i]). Guards each block with one
-  /// membership sweep; a wholly admitted block is imaged in place
-  /// through the extraction plan's batch kernels, a mixed one is
-  /// compacted first. Then staged passes per block — prefetch bucket
-  /// metadata, compute slots while prefetching the image/value lines,
-  /// resolve — so a table bigger than L2 overlaps its cache misses
-  /// across keys instead of paying them one dependent chain at a time.
-  /// Returns the number of hits.
+  /// Batch lookup: Out[i] = find(Keys[i]). Images each block through
+  /// the guarded batch kernel, then runs staged passes over it —
+  /// prefetch bucket metadata, compute slots while prefetching the
+  /// image/value lines, resolve — so a table bigger than L2 overlaps
+  /// its cache misses across keys instead of paying them one dependent
+  /// chain at a time. Returns the number of hits.
   size_t findBatch(const std::string_view *Keys, const Value **Out,
                    size_t N) const {
     if (!Sealed) {
@@ -130,32 +132,16 @@ public:
         Values.size() * (sizeof(Value) + sizeof(uint64_t)) >
         (size_t{256} << 10);
     constexpr size_t Block = 256;
-    uint8_t Admit[Block];
-    std::string_view Pass[Block];
-    uint32_t PassIdx[Block];
     uint64_t Bases[Block];
     uint32_t Slots[Block];
+    uint32_t MissIdx[Block];
     for (size_t At = 0; At < N; At += Block) {
       const size_t Count = std::min(Block, N - At);
-      const size_t Admitted = Guard.matchesBatch(Keys + At, Admit, Count);
-      const bool Whole = Admitted == Count;
-      if (!Whole) {
-        size_t P = 0;
-        for (size_t I = 0; I != Count; ++I) {
-          Out[At + I] = nullptr;
-          if (Admit[I]) {
-            Pass[P] = Keys[At + I];
-            PassIdx[P++] = static_cast<uint32_t>(I);
-          }
-        }
-      }
-      if (Admitted == 0)
-        continue;
-      F.baseBatch(Whole ? Keys + At : Pass, Bases, Admitted);
+      const size_t Misses = imageBatch(Keys + At, Bases, Count, MissIdx);
       if (Staged)
-        for (size_t I = 0; I != Admitted; ++I)
+        for (size_t I = 0; I != Count; ++I)
           F.prefetchSlot(Bases[I]);
-      for (size_t I = 0; I != Admitted; ++I) {
+      for (size_t I = 0; I != Count; ++I) {
         const uint64_t Slot = F.slotFromBase(Bases[I]);
         Slots[I] = static_cast<uint32_t>(Slot);
         if (Staged) {
@@ -163,23 +149,40 @@ public:
           prefetchRead(&Values[Slot]);
         }
       }
-      for (size_t I = 0; I != Admitted; ++I) {
+      for (size_t I = 0; I != Count; ++I) {
         const uint32_t Slot = Slots[I];
-        const size_t K = At + (Whole ? I : PassIdx[I]);
-        if (Images[Slot] == Bases[I]) {
-          Out[K] = &Values[Slot];
-          ++Hits;
-        } else {
-          Out[K] = nullptr;
-        }
+        const bool Hit = Images[Slot] == Bases[I];
+        Out[At + I] = Hit ? &Values[Slot] : nullptr;
+        Hits += Hit;
+      }
+      // A rejected key's base is a placeholder: whatever its slot
+      // holds, the key is not in the map.
+      for (size_t M = 0; M != Misses; ++M) {
+        const size_t K = At + MissIdx[M];
+        Hits -= Out[K] != nullptr;
+        Out[K] = nullptr;
       }
     }
     return Hits;
   }
 
 private:
+  /// Base images of \p N keys from one call into the guarded kernel,
+  /// which also appends the rejected keys' indices to \p MissIdx; their
+  /// Bases hold a placeholder. Returns the number of rejected keys.
+  size_t imageBatch(const std::string_view *Keys, uint64_t *Bases, size_t N,
+                    uint32_t *MissIdx) const {
+    const size_t Misses = Guarded.admitBatch(Keys, Bases, N, MissIdx);
+    for (size_t M = 0; M != Misses; ++M)
+      Bases[MissIdx[M]] = 0;
+    for (size_t I = 0; I != N; ++I)
+      Bases[I] = F.baseImage(Keys[I], Bases[I]);
+    return Misses;
+  }
+
   Mphf F;
-  KeyPattern Guard;
+  /// F's extraction plan (none for a raw-byte base) and the guard.
+  GuardedHash Guarded;
   std::vector<uint64_t> Images;
   std::vector<Value> Values;
   bool Sealed = false;

@@ -68,6 +68,7 @@
 #define SEPE_CONTAINER_SHARDED_INDEX_MAP_H
 
 #include "container/flat_index_map.h"
+#include "core/executor.h"
 #include "core/key_pattern.h"
 #include "core/plan.h"
 #include "support/telemetry.h"
@@ -175,7 +176,7 @@ public:
   uint64_t epoch() const { return active()->Epoch; }
 
   /// The active generation's hash (cheap: shared plan ownership).
-  SynthesizedHash hasher() const { return active()->Hash; }
+  SynthesizedHash hasher() const { return active()->hash(); }
 
   /// Migrations completed since construction.
   uint64_t migrations() const {
@@ -263,13 +264,13 @@ public:
   /// format.
   bool put(std::string_view Key, Value V) {
     Table *T = activeMutable();
-    return putAt(*T, Key, T->Hash(Key), std::move(V));
+    return putAt(*T, Key, T->hash()(Key), std::move(V));
   }
 
   /// Removes \p Key; returns false when absent.
   bool erase(std::string_view Key) {
     Table *T = activeMutable();
-    return eraseAt(*T, Key, T->Hash(Key));
+    return eraseAt(*T, Key, T->hash()(Key));
   }
 
   /// Copies the value for \p Key into \p Out; false when absent. A
@@ -277,7 +278,7 @@ public:
   /// as a concurrent writer moved the entry.
   bool get(std::string_view Key, Value &Out) const {
     const Table *T = active();
-    const uint64_t Image = T->Hash(Key);
+    const uint64_t Image = T->hash()(Key);
     if (lookup(T->shardFor(Image), Image, Out)) {
       SEPE_COUNT("sharded_index_map.get.hit");
       return true;
@@ -303,7 +304,7 @@ public:
     uint64_t Images[shard::ChunkSize];
     for (size_t Base = 0; Base < N; Base += shard::ChunkSize) {
       const size_t Count = std::min(shard::ChunkSize, N - Base);
-      T->Hash.hashBatch(Keys + Base, Images, Count);
+      T->hash().hashBatch(Keys + Base, Images, Count);
       Hits += probeChunk(*T, Images, Count, Out + Base, Found + Base);
     }
     SEPE_COUNT_N("sharded_index_map.get.hit", Hits);
@@ -454,24 +455,24 @@ private:
   };
 
   /// One epoch of the map. Immutable after publish except through the
-  /// shard locks; readers reach the whole generation — hash, pattern,
+  /// shard locks; readers reach the whole generation — guarded hash,
   /// epoch, shards — through one acquire load of Active. The shards are
   /// one cache-line-aligned array, so a probe goes from the table to
   /// its shard with no pointer in between.
   struct Table {
     Table(SynthesizedHash Hash, KeyPattern Pattern, uint64_t Epoch,
           unsigned ShardBits, size_t InitialCapacityPerShard)
-        : Hash(std::move(Hash)), Pattern(std::move(Pattern)), Epoch(Epoch),
-          ShardBits(ShardBits),
+        : Epoch(Epoch), ShardBits(ShardBits),
           Shards(static_cast<Shard *>(::operator new(
-              sizeof(Shard) << ShardBits, std::align_val_t{alignof(Shard)}))) {
-      assert(invertible(this->Hash.plan(), this->Pattern) &&
+              sizeof(Shard) << ShardBits, std::align_val_t{alignof(Shard)}))),
+          Guarded(std::move(Hash), std::move(Pattern)) {
+      assert(invertible(hash().plan(), Guarded.pattern()) &&
              "migrate() rebuilds keys from images of this plan");
       // Shard holds a shared_mutex, so it is built in place.
       size_t Built = 0;
       try {
         for (; Built != shardCount(); ++Built)
-          new (&Shards[Built]) Shard(this->Hash, InitialCapacityPerShard);
+          new (&Shards[Built]) Shard(hash(), InitialCapacityPerShard);
       } catch (...) {
         destroyShards(Built);
         throw;
@@ -485,15 +486,16 @@ private:
     Shard &shardFor(uint64_t Image) const {
       return Shards[probe::shardOf(Image, ShardBits)];
     }
+    const SynthesizedHash &hash() const { return Guarded.hash(); }
 
-    SynthesizedHash Hash;
-    KeyPattern Pattern;
     uint64_t Epoch = 0;
     const unsigned ShardBits;
     Shard *const Shards;
     /// Set (before any seal) by the migration that retires this table;
     /// read by writers that find their shard sealed.
     Table *Successor = nullptr;
+    /// The table's plan and the pattern that guards it.
+    GuardedHash Guarded;
 
   private:
     void destroyShards(size_t Built) {
@@ -521,20 +523,20 @@ private:
     return judge(T, Key, H.has_value(), Op, Image);
   }
 
-  /// admit() for a key with no current hint: T's own pattern check and
-  /// hash. Out of line, so a hinted probe stays small enough to inline
-  /// into its caller and goes from label compare straight to lookup().
+  /// admit() for a key with no current hint: T's guarded hash checks
+  /// the key against T's pattern and images it in one pass. Out of
+  /// line, so a hinted probe stays small enough to inline into its
+  /// caller and goes from label compare straight to lookup().
   [[gnu::noinline]] static bool judge(const Table &T, std::string_view Key,
                                       [[maybe_unused]] bool Stale,
                                       [[maybe_unused]] unsigned Op,
                                       uint64_t &Image) {
     if (Stale)
       SEPE_COUNT("sharded_index_map.stale_epoch");
-    if (!T.Pattern.matches(Key)) {
+    if (!T.Guarded.admit(Key, Image)) {
       SEPE_EVENT("sharded.guard.reject", T.Epoch, Op);
       return false;
     }
-    Image = T.Hash(Key);
     return true;
   }
 
@@ -680,7 +682,7 @@ private:
   void replayPut(Table &T, std::string_view Key, Value V) {
     Table &Next = *T.Successor;
     SEPE_EVENT("sharded.dual_write", Next.Epoch, 0);
-    const uint64_t Image = Next.Hash(Key);
+    const uint64_t Image = Next.hash()(Key);
     Shard &S = Next.shardFor(Image);
     std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
                                              std::adopt_lock);
@@ -690,7 +692,7 @@ private:
   void replayErase(Table &T, std::string_view Key) {
     Table &Next = *T.Successor;
     SEPE_EVENT("sharded.dual_write", Next.Epoch, 1);
-    const uint64_t Image = Next.Hash(Key);
+    const uint64_t Image = Next.hash()(Key);
     Shard &S = Next.shardFor(Image);
     std::unique_lock<std::shared_mutex> Lock(acquireUnique(S),
                                              std::adopt_lock);
@@ -704,7 +706,8 @@ private:
   /// needs this same lock before it can dual-write) can never be undone
   /// by a stale copy landing after it. Returns the entries copied.
   size_t copyShardLocked(Shard &S, Table &Old, Table &Next) {
-    const size_t Len = Old.Pattern.maxLength();
+    const KeyPattern &Pattern = Old.Guarded.pattern();
+    const size_t Len = Pattern.maxLength();
     std::vector<char> KeyBytes(shard::ChunkSize * Len);
     std::string_view Keys[shard::ChunkSize];
     const Value *Values[shard::ChunkSize];
@@ -712,7 +715,7 @@ private:
     size_t Count = 0;
     size_t Copied = 0;
     const auto Flush = [&] {
-      Next.Hash.hashBatch(Keys, Images, Count);
+      Next.hash().hashBatch(Keys, Images, Count);
       for (size_t I = 0; I != Count; ++I) {
         Shard &Dest = Next.shardFor(Images[I]);
         std::unique_lock<std::shared_mutex> Lock(acquireUnique(Dest),
@@ -723,7 +726,7 @@ private:
     };
     S.Map.forEachEntry([&](uint64_t Image, const Value &V) {
       char *Key = KeyBytes.data() + Count * Len;
-      invertImage(Old.Hash.plan(), Old.Pattern, Image, Key);
+      invertImage(Old.hash().plan(), Pattern, Image, Key);
       Keys[Count] = std::string_view(Key, Len);
       Values[Count] = &V;
       if (++Count == shard::ChunkSize)

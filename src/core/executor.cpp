@@ -45,34 +45,89 @@ uint64_t evalFallback(const HashPlan &, const char *Data, size_t Len) {
 
 // --- Fixed-length paths ---------------------------------------------------
 //
-// The fixed-length kernels are "fused": the step count is a template
-// parameter for the common plan sizes (NSteps != 0), so the step loop
-// unrolls away and the kernel is the same straight-line code codegen.h
-// would emit. NSteps == 0 is the generic runtime-count variant.
+// One single-key body (fixedOne) and one four-way interleaved batch
+// body (fixedInterleaved) serve every fixed-length Naive, OffXor and
+// Pext kernel, guarded or not. Two template parameters pick the
+// variant: how a step combines its loaded word into the hash, and
+// whether the guard's constant-bit check rides on that same word. The
+// step count is a third for the common plan sizes (NSteps != 0), so the
+// step loop unrolls away and the kernel is the same straight-line code
+// codegen.h would emit; NSteps == 0 is the generic runtime-count
+// variant.
 
-template <size_t NSteps = 0>
-uint64_t evalFixedXor(const HashPlan &Plan, const char *Data, size_t) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  uint64_t Hash = 0;
-  for (size_t S = 0; S != M; ++S)
-    Hash ^= loadU64Le(Data + Steps[S].Offset);
-  return Hash;
+/// How a step folds its loaded word W into the hash.
+enum class Combine {
+  Xor,      ///< W itself (Naive, OffXor).
+  PextHw,   ///< rotl(pext(W, Mask), Shift), hardware pext.
+  PextSoft, ///< The same through the bit-at-a-time software pext.
+  PextNet,  ///< The same through the step's precompiled PextNetwork.
+};
+
+/// What a fixed-length kernel reads besides the keys.
+struct FixedArgs {
+  const PlanStep *Steps = nullptr;
+  size_t M = 0;
+  /// Guarded only: one window per step over the step's own word, then
+  /// windows over constant positions no step loads, up to ChecksEnd.
+  const KeyPattern::WordCheck *Checks = nullptr;
+  const KeyPattern::WordCheck *ChecksEnd = nullptr;
+  /// PextNet only: one network per step.
+  const PextNetwork *Nets = nullptr;
+};
+
+FixedArgs argsOf(const HashPlan &Plan) {
+  return {Plan.Steps.data(), Plan.Steps.size()};
 }
 
-template <uint64_t (*Pext)(uint64_t, uint64_t), size_t NSteps = 0>
-uint64_t evalFixedPext(const HashPlan &Plan, const char *Data, size_t) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  uint64_t Hash = 0;
+template <Combine C>
+inline uint64_t combine(const FixedArgs &A, size_t S, uint64_t W) {
   // Chunks are *rotated* into place rather than shifted so formats with
   // more than 64 relevant bits wrap around without losing entropy
   // (Section 4.2: zero T-Coll even on 400-relevant-bit keys). For
   // chunks that fit, rotl is identical to the shift in Figure 12.
-  for (size_t S = 0; S != M; ++S)
-    Hash ^= std::rotl(Pext(loadU64Le(Data + Steps[S].Offset), Steps[S].Mask),
-                      Steps[S].Shift);
+  const PlanStep &Step = A.Steps[S];
+  if constexpr (C == Combine::Xor)
+    return W;
+  else if constexpr (C == Combine::PextHw)
+    return std::rotl(pextHw(W, Step.Mask), Step.Shift);
+  else if constexpr (C == Combine::PextSoft)
+    return std::rotl(pextSoft(W, Step.Mask), Step.Shift);
+  else
+    return std::rotl(A.Nets[S].apply(W), Step.Shift);
+}
+
+/// The guard residue of word \p W under window \p C: zero iff the
+/// word's constant bits match.
+inline uint64_t residue(const KeyPattern::WordCheck &C, uint64_t W) {
+  return (W & C.Mask) ^ C.Value;
+}
+
+/// Hashes the key at \p D. Guarded also ORs the key's guard residue
+/// into \p Bad. The caller has checked the key's length.
+template <Combine C, bool Guarded, size_t NSteps>
+inline uint64_t fixedOne(const FixedArgs &A, const char *D, uint64_t &Bad) {
+  const size_t M = NSteps != 0 ? NSteps : A.M;
+  uint64_t Hash = 0;
+  for (size_t S = 0; S != M; ++S) {
+    const uint64_t W = loadU64Le(D + A.Steps[S].Offset);
+    Hash ^= combine<C>(A, S, W);
+    if constexpr (Guarded)
+      Bad |= residue(A.Checks[S], W);
+  }
+  // The early exit changes no verdict; it keeps the compiler from
+  // vectorizing a loop that runs at most a few times, whose prologue
+  // would otherwise land on every key.
+  if constexpr (Guarded)
+    for (const KeyPattern::WordCheck *X = A.Checks + M;
+         X != A.ChecksEnd && Bad == 0; ++X)
+      Bad |= residue(*X, loadU64Le(D + X->Offset));
   return Hash;
+}
+
+template <Combine C, size_t NSteps = 0>
+uint64_t evalFixed(const HashPlan &Plan, const char *Data, size_t) {
+  uint64_t Unused = 0;
+  return fixedOne<C, false, NSteps>(argsOf(Plan), Data, Unused);
 }
 
 template <Block128 (*Round)(Block128, Block128)>
@@ -259,11 +314,18 @@ void batchViaSingle(const HashPlan &Plan, const std::string_view *Keys,
     Out[I] = Eval(Plan, Keys[I].data(), Keys[I].size());
 }
 
-template <size_t NSteps = 0>
-void batchFixedXor(const HashPlan &Plan, const std::string_view *Keys,
-                   uint64_t *Out, size_t N) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
+/// Step cap for the kernels that precompute per-step state on the
+/// stack; plans beyond it (128-byte fixed keys) take the plain paths.
+constexpr size_t MaxPrecomputedSteps = 16;
+
+/// Out[I] = the hash of Keys[I] for I in [0, N). Guarded also stores
+/// each key's guard residue in Bad[I] and returns their OR. Key lengths
+/// are the caller's to check.
+template <Combine C, bool Guarded, size_t NSteps>
+uint64_t fixedInterleaved(const FixedArgs &A, const std::string_view *Keys,
+                          uint64_t *Out, uint64_t *Bad, size_t N) {
+  const size_t M = NSteps != 0 ? NSteps : A.M;
+  uint64_t AnyBad = 0;
   size_t I = 0;
   for (; I + 4 <= N; I += 4) {
     const char *D0 = Keys[I + 0].data();
@@ -271,51 +333,72 @@ void batchFixedXor(const HashPlan &Plan, const std::string_view *Keys,
     const char *D2 = Keys[I + 2].data();
     const char *D3 = Keys[I + 3].data();
     uint64_t H0 = 0, H1 = 0, H2 = 0, H3 = 0;
+    uint64_t B0 = 0, B1 = 0, B2 = 0, B3 = 0;
     for (size_t S = 0; S != M; ++S) {
-      const uint32_t Off = Steps[S].Offset;
-      H0 ^= loadU64Le(D0 + Off);
-      H1 ^= loadU64Le(D1 + Off);
-      H2 ^= loadU64Le(D2 + Off);
-      H3 ^= loadU64Le(D3 + Off);
+      const uint32_t Off = A.Steps[S].Offset;
+      // Each word dies right after its two uses, which keeps the four
+      // lanes' state in registers.
+      const auto Step = [&](const char *D, uint64_t &H, uint64_t &B) {
+        const uint64_t W = loadU64Le(D + Off);
+        H ^= combine<C>(A, S, W);
+        if constexpr (Guarded)
+          B |= residue(A.Checks[S], W);
+      };
+      Step(D0, H0, B0);
+      Step(D1, H1, B1);
+      Step(D2, H2, B2);
+      Step(D3, H3, B3);
+    }
+    if constexpr (Guarded) {
+      for (const KeyPattern::WordCheck *X = A.Checks + M; X != A.ChecksEnd;
+           ++X) {
+        B0 |= residue(*X, loadU64Le(D0 + X->Offset));
+        B1 |= residue(*X, loadU64Le(D1 + X->Offset));
+        B2 |= residue(*X, loadU64Le(D2 + X->Offset));
+        B3 |= residue(*X, loadU64Le(D3 + X->Offset));
+      }
+      Bad[I + 0] = B0;
+      Bad[I + 1] = B1;
+      Bad[I + 2] = B2;
+      Bad[I + 3] = B3;
+      AnyBad |= B0 | B1 | B2 | B3;
     }
     Out[I + 0] = H0;
     Out[I + 1] = H1;
     Out[I + 2] = H2;
     Out[I + 3] = H3;
   }
-  for (; I != N; ++I)
-    Out[I] = evalFixedXor<NSteps>(Plan, Keys[I].data(), Keys[I].size());
+  for (; I != N; ++I) {
+    uint64_t B = 0;
+    Out[I] = fixedOne<C, Guarded, NSteps>(A, Keys[I].data(), B);
+    if constexpr (Guarded) {
+      Bad[I] = B;
+      AnyBad |= B;
+    }
+  }
+  return AnyBad;
 }
 
-template <uint64_t (*Pext)(uint64_t, uint64_t), size_t NSteps = 0>
-void batchFixedPext(const HashPlan &Plan, const std::string_view *Keys,
-                    uint64_t *Out, size_t N) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    const char *D0 = Keys[I + 0].data();
-    const char *D1 = Keys[I + 1].data();
-    const char *D2 = Keys[I + 2].data();
-    const char *D3 = Keys[I + 3].data();
-    uint64_t H0 = 0, H1 = 0, H2 = 0, H3 = 0;
-    for (size_t S = 0; S != M; ++S) {
-      const uint32_t Off = Steps[S].Offset;
-      const uint64_t Mask = Steps[S].Mask;
-      const int Shift = Steps[S].Shift;
-      H0 ^= std::rotl(Pext(loadU64Le(D0 + Off), Mask), Shift);
-      H1 ^= std::rotl(Pext(loadU64Le(D1 + Off), Mask), Shift);
-      H2 ^= std::rotl(Pext(loadU64Le(D2 + Off), Mask), Shift);
-      H3 ^= std::rotl(Pext(loadU64Le(D3 + Off), Mask), Shift);
-    }
-    Out[I + 0] = H0;
-    Out[I + 1] = H1;
-    Out[I + 2] = H2;
-    Out[I + 3] = H3;
+/// The unguarded fixed-length batch kernel. At Portable/NoBitExtract
+/// the per-key pextSoft walks the mask bit by bit — tolerable for one
+/// call, painful across a batch — so the PextNet variant compiles each
+/// step's PextNetwork (support/bit_ops.h) once per call and every key
+/// pays only the network's few shift-mask rounds. Bit-identical to
+/// pextSoft by the network's contract, pinned by the batch property
+/// tests.
+template <Combine C, size_t NSteps = 0>
+void batchFixed(const HashPlan &Plan, const std::string_view *Keys,
+                uint64_t *Out, size_t N) {
+  FixedArgs A = argsOf(Plan);
+  if constexpr (C == Combine::PextNet) {
+    PextNetwork Nets[MaxPrecomputedSteps];
+    for (size_t S = 0; S != A.M; ++S)
+      Nets[S] = PextNetwork::compile(A.Steps[S].Mask);
+    A.Nets = Nets;
+    fixedInterleaved<C, false, NSteps>(A, Keys, Out, nullptr, N);
+  } else {
+    fixedInterleaved<C, false, NSteps>(A, Keys, Out, nullptr, N);
   }
-  for (; I != N; ++I)
-    Out[I] =
-        evalFixedPext<Pext, NSteps>(Plan, Keys[I].data(), Keys[I].size());
 }
 
 #if defined(SEPE_HAVE_AESNI)
@@ -387,53 +470,6 @@ void batchFixedAesNative(const HashPlan &Plan, const std::string_view *Keys,
     Out[I] = evalFixedAesNative(Plan, Keys[I].data(), Keys[I].size());
 }
 #endif
-
-// --- Network-compacted software-pext batch --------------------------------
-//
-// At Portable/NoBitExtract the per-key pextSoft walks the mask bit by
-// bit — tolerable for one call, painful across a batch. A plan's masks
-// are fixed, so the batch entry compiles each step's PextNetwork
-// (support/bit_ops.h) once per call; every key then pays only the
-// network's few shift-mask rounds instead of the 64-iteration loop.
-// Bit-identical to pextSoft by the network's contract, pinned by the
-// batch property tests.
-
-/// Step cap for the kernels that precompute per-step state on the
-/// stack; plans beyond it (128-byte fixed keys) take the plain paths.
-constexpr size_t MaxPrecomputedSteps = 16;
-
-template <size_t NSteps = 0>
-void batchFixedPextNetwork(const HashPlan &Plan, const std::string_view *Keys,
-                           uint64_t *Out, size_t N) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  PextNetwork Nets[MaxPrecomputedSteps];
-  for (size_t S = 0; S != M; ++S)
-    Nets[S] = PextNetwork::compile(Steps[S].Mask);
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    const char *D0 = Keys[I + 0].data();
-    const char *D1 = Keys[I + 1].data();
-    const char *D2 = Keys[I + 2].data();
-    const char *D3 = Keys[I + 3].data();
-    uint64_t H0 = 0, H1 = 0, H2 = 0, H3 = 0;
-    for (size_t S = 0; S != M; ++S) {
-      const uint32_t Off = Steps[S].Offset;
-      const int Shift = Steps[S].Shift;
-      H0 ^= std::rotl(Nets[S].apply(loadU64Le(D0 + Off)), Shift);
-      H1 ^= std::rotl(Nets[S].apply(loadU64Le(D1 + Off)), Shift);
-      H2 ^= std::rotl(Nets[S].apply(loadU64Le(D2 + Off)), Shift);
-      H3 ^= std::rotl(Nets[S].apply(loadU64Le(D3 + Off)), Shift);
-    }
-    Out[I + 0] = H0;
-    Out[I + 1] = H1;
-    Out[I + 2] = H2;
-    Out[I + 3] = H3;
-  }
-  for (; I != N; ++I)
-    Out[I] =
-        evalFixedPext<pextSoft, NSteps>(Plan, Keys[I].data(), Keys[I].size());
-}
 
 #if defined(SEPE_EXEC_AVX2)
 // --- AVX2 wide batch kernels ----------------------------------------------
@@ -626,7 +662,7 @@ void batchWideXor(const HashPlan &Plan, const std::string_view *Keys,
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + I), H);
   }
   for (; I != N; ++I)
-    Out[I] = evalFixedXor<>(Plan, Keys[I].data(), Keys[I].size());
+    Out[I] = evalFixed<Combine::Xor>(Plan, Keys[I].data(), Keys[I].size());
 }
 #endif // SEPE_EXEC_AVX2
 
@@ -652,6 +688,20 @@ template <typename MakeFn> auto byStepCount(size_t M, MakeFn Make) {
   default:
     return Make(std::integral_constant<size_t, 0>{});
   }
+}
+
+/// The kernels of a fixed-length plan of \p M steps that combine as
+/// \p C: the single-key kernel, the per-key loop over it, and the
+/// interleaved batch kernel.
+template <Combine C> EvalFnT fixedEval(size_t M) {
+  return byStepCount(M, [](auto S) -> EvalFnT { return evalFixed<C, S>; });
+}
+template <Combine C> BatchFnT fixedScalarBatch(size_t M) {
+  return byStepCount(
+      M, [](auto S) -> BatchFnT { return batchViaSingle<evalFixed<C, S>>; });
+}
+template <Combine C> BatchFnT fixedBatch(size_t M) {
+  return byStepCount(M, [](auto S) -> BatchFnT { return batchFixed<C, S>; });
 }
 
 } // namespace
@@ -699,13 +749,10 @@ SynthesizedHash::EvalFn SynthesizedHash::selectEval(const HashPlan &Plan,
     switch (Plan.Family) {
     case HashFamily::Naive:
     case HashFamily::OffXor:
-      return byStepCount(M, [](auto S) -> EvalFnT { return evalFixedXor<S>; });
+      return fixedEval<Combine::Xor>(M);
     case HashFamily::Pext:
-      if (HwPext)
-        return byStepCount(
-            M, [](auto S) -> EvalFnT { return evalFixedPext<pextHw, S>; });
-      return byStepCount(
-          M, [](auto S) -> EvalFnT { return evalFixedPext<pextSoft, S>; });
+      return HwPext ? fixedEval<Combine::PextHw>(M)
+                    : fixedEval<Combine::PextSoft>(M);
     case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
       if (Hw)
@@ -764,22 +811,10 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
       switch (Plan.Family) {
       case HashFamily::Naive:
       case HashFamily::OffXor:
-        return {byStepCount(M,
-                            [](auto S) -> BatchFnT {
-                              return batchViaSingle<evalFixedXor<S>>;
-                            }),
-                BatchPath::Scalar};
+        return {fixedScalarBatch<Combine::Xor>(M), BatchPath::Scalar};
       case HashFamily::Pext:
-        if (HwPext)
-          return {byStepCount(M,
-                              [](auto S) -> BatchFnT {
-                                return batchViaSingle<evalFixedPext<pextHw, S>>;
-                              }),
-                  BatchPath::Scalar};
-        return {byStepCount(M,
-                            [](auto S) -> BatchFnT {
-                              return batchViaSingle<evalFixedPext<pextSoft, S>>;
-                            }),
+        return {HwPext ? fixedScalarBatch<Combine::PextHw>(M)
+                       : fixedScalarBatch<Combine::PextSoft>(M),
                 BatchPath::Scalar};
       case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
@@ -819,26 +854,12 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
     switch (Plan.Family) {
     case HashFamily::Naive:
     case HashFamily::OffXor:
-      return {byStepCount(
-                  M, [](auto S) -> BatchFnT { return batchFixedXor<S>; }),
-              BatchPath::Interleaved};
+      return {fixedBatch<Combine::Xor>(M), BatchPath::Interleaved};
     case HashFamily::Pext:
       if (HwPext)
-        return {byStepCount(M,
-                            [](auto S) -> BatchFnT {
-                              return batchFixedPext<pextHw, S>;
-                            }),
-                BatchPath::Interleaved};
-      if (M <= MaxPrecomputedSteps)
-        return {byStepCount(M,
-                            [](auto S) -> BatchFnT {
-                              return batchFixedPextNetwork<S>;
-                            }),
-                BatchPath::Interleaved};
-      return {byStepCount(M,
-                          [](auto S) -> BatchFnT {
-                            return batchFixedPext<pextSoft, S>;
-                          }),
+        return {fixedBatch<Combine::PextHw>(M), BatchPath::Interleaved};
+      return {M <= MaxPrecomputedSteps ? fixedBatch<Combine::PextNet>(M)
+                                       : fixedBatch<Combine::PextSoft>(M),
               BatchPath::Interleaved};
     case HashFamily::Aes:
 #if defined(SEPE_HAVE_AESNI)
@@ -867,238 +888,187 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
   unreachable("all plan shapes handled above");
 }
 
-namespace {
+namespace sepe {
 
-/// Fused scalar lane of the guarded fixed-xor kernel: hashes and guards
-/// one key, returning true when admitted (Out written) and false when
-/// rejected (Out untouched). Shared by the 4-wide loop's epilogue and
-/// its rare mixed-length groups.
-template <size_t NSteps = 0>
-bool guardedFixedXorOne(const HashPlan &Plan, const BatchGuard &G,
-                        std::string_view Key, uint64_t *Out) {
-  if (Key.size() != G.KeyLen)
-    return false;
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  const char *D = Key.data();
-  uint64_t Hash = 0, Bad = 0;
-  for (size_t S = 0; S != M; ++S) {
-    const uint64_t W = loadU64Le(D + Steps[S].Offset);
-    Hash ^= W;
-    Bad |= (W & G.StepMasks[S]) ^ G.StepValues[S];
+/// The two entries of a GuardedHash, in one of three shapes: fused
+/// (fixed-length Naive, OffXor and Pext plans whose loads lie inside
+/// the pattern's length, by combine and step count), two-pass (every
+/// other plan), or pattern-only (no hash).
+struct GuardedKernels {
+  static FixedArgs args(const GuardedHash &G) {
+    return {G.Steps, G.Hash.plan().Steps.size(), G.Checks.data(),
+            std::to_address(G.Checks.end()), G.Nets.data()};
   }
-  for (const KeyPattern::WordCheck &C : G.Extra)
-    Bad |= (loadU64Le(D + C.Offset) & C.Mask) ^ C.Value;
-  if (Bad != 0)
-    return false;
-  *Out = Hash;
-  return true;
-}
 
-/// Guarded fixed-xor batch kernel: the interleaved 4-wide loop of
-/// batchFixedXor with the membership compare folded onto each loaded
-/// word. Admitted keys land in Out at their own index; rejected key
-/// indices append to MissIdx and their Out slots are non-contractual
-/// (the caller's fallback lane overwrites them).
-///
-/// The hot loop is branch-free: per-key badness accumulates into a
-/// side array and one chunk-level OR, so on a clean stream the only
-/// guard cost is the AND/XOR/OR pair on each word the hash loads
-/// anyway plus one predictable branch per chunk. Key lengths are swept
-/// branchlessly per chunk before any plan-offset load happens — a
-/// wrong-length key must not be dereferenced at the plan's offsets,
-/// and a chunk containing one (rare under drift, impossible on a
-/// steady stream) falls back to the per-key lane.
-template <size_t NSteps = 0>
-size_t guardedFixedXorBatch(const HashPlan &Plan, const BatchGuard &G,
-                            const std::string_view *Keys, uint64_t *Out,
-                            size_t N, uint32_t *MissIdx) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = NSteps != 0 ? NSteps : Plan.Steps.size();
-  const uint64_t *GM = G.StepMasks.data();
-  const uint64_t *GV = G.StepValues.data();
-  const KeyPattern::WordCheck *Extra = G.Extra.data();
-  const size_t NumExtra = G.Extra.size();
-  const size_t Len = G.KeyLen;
-  constexpr size_t Chunk = 64;
-  uint64_t Bad[Chunk];
-  size_t Misses = 0;
-  for (size_t Base = 0; Base < N; Base += Chunk) {
-    const size_t Count = N - Base < Chunk ? N - Base : Chunk;
-    const std::string_view *K = Keys + Base;
-    uint64_t LenBad = 0;
-    for (size_t I = 0; I != Count; ++I)
-      LenBad |= K[I].size() ^ Len;
-    if (LenBad != 0) {
+  template <Combine C, size_t NSteps>
+  static GuardedHash::Verdict fusedOne(const GuardedHash &G, const char *D,
+                                       size_t Len) {
+    if (Len != G.KeyLen)
+      return {0, false};
+    uint64_t Bad = 0;
+    const uint64_t Image = fixedOne<C, true, NSteps>(args(G), D, Bad);
+    return {Image, Bad == 0};
+  }
+
+  /// Branch-free on a clean stream: per-key residues go to a side array
+  /// and one chunk-level OR, so the guard costs an AND, an XOR and an OR
+  /// on each word the hash loads anyway plus one predictable branch per
+  /// chunk. Key lengths are swept per chunk before any plan-offset
+  /// load: a wrong-length key must not be loaded at the plan's offsets,
+  /// so a chunk holding one (rare under drift, impossible on a steady
+  /// stream) takes its keys one at a time.
+  template <Combine C, size_t NSteps>
+  static size_t fusedBatch(const GuardedHash &G, const std::string_view *Keys,
+                           uint64_t *Out, size_t N, uint32_t *MissIdx) {
+    const FixedArgs A = args(G);
+    const size_t Len = G.KeyLen;
+    constexpr size_t Chunk = 64;
+    uint64_t Bad[Chunk];
+    size_t Misses = 0;
+    for (size_t Base = 0; Base < N; Base += Chunk) {
+      const size_t Count = std::min(Chunk, N - Base);
+      const std::string_view *K = Keys + Base;
+      uint64_t AnyBad = 0;
       for (size_t I = 0; I != Count; ++I)
-        if (!guardedFixedXorOne<NSteps>(Plan, G, K[I], Out + Base + I))
-          MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
-      continue;
-    }
-    uint64_t AnyBad = 0;
-    size_t I = 0;
-    for (; I + 4 <= Count; I += 4) {
-      const char *D0 = K[I + 0].data();
-      const char *D1 = K[I + 1].data();
-      const char *D2 = K[I + 2].data();
-      const char *D3 = K[I + 3].data();
-      uint64_t H0 = 0, H1 = 0, H2 = 0, H3 = 0;
-      uint64_t B0 = 0, B1 = 0, B2 = 0, B3 = 0;
-      for (size_t S = 0; S != M; ++S) {
-        const uint32_t Off = Steps[S].Offset;
-        const uint64_t Ma = GM[S], Va = GV[S];
-        uint64_t W;
-        W = loadU64Le(D0 + Off), H0 ^= W, B0 |= (W & Ma) ^ Va;
-        W = loadU64Le(D1 + Off), H1 ^= W, B1 |= (W & Ma) ^ Va;
-        W = loadU64Le(D2 + Off), H2 ^= W, B2 |= (W & Ma) ^ Va;
-        W = loadU64Le(D3 + Off), H3 ^= W, B3 |= (W & Ma) ^ Va;
-      }
-      for (size_t E = 0; E != NumExtra; ++E) {
-        const uint32_t Off = Extra[E].Offset;
-        const uint64_t Ma = Extra[E].Mask, Va = Extra[E].Value;
-        B0 |= (loadU64Le(D0 + Off) & Ma) ^ Va;
-        B1 |= (loadU64Le(D1 + Off) & Ma) ^ Va;
-        B2 |= (loadU64Le(D2 + Off) & Ma) ^ Va;
-        B3 |= (loadU64Le(D3 + Off) & Ma) ^ Va;
-      }
-      Out[Base + I + 0] = H0;
-      Out[Base + I + 1] = H1;
-      Out[Base + I + 2] = H2;
-      Out[Base + I + 3] = H3;
-      Bad[I + 0] = B0;
-      Bad[I + 1] = B1;
-      Bad[I + 2] = B2;
-      Bad[I + 3] = B3;
-      AnyBad |= B0 | B1 | B2 | B3;
-    }
-    for (; I != Count; ++I) {
-      const char *D = K[I].data();
-      uint64_t H = 0, B = 0;
-      for (size_t S = 0; S != M; ++S) {
-        const uint64_t W = loadU64Le(D + Steps[S].Offset);
-        H ^= W;
-        B |= (W & GM[S]) ^ GV[S];
-      }
-      for (size_t E = 0; E != NumExtra; ++E)
-        B |= (loadU64Le(D + Extra[E].Offset) & Extra[E].Mask) ^
-             Extra[E].Value;
-      Out[Base + I] = H;
-      Bad[I] = B;
-      AnyBad |= B;
-    }
-    if (AnyBad != 0)
-      for (size_t J = 0; J != Count; ++J)
-        if (Bad[J] != 0)
-          MissIdx[Misses++] = static_cast<uint32_t>(Base + J);
-  }
-  return Misses;
-}
-
-/// hashBatchGuarded for a guard with no fused kernel: a membership
-/// sweep per block, then \p Hash's batch kernel over the admitted keys,
-/// in place when the whole block is admitted, compacted otherwise.
-size_t sweepThenHashBatch(const SynthesizedHash &Hash, const KeyPattern &Guard,
-                          const std::string_view *Keys, uint64_t *Out,
-                          size_t N, uint32_t *MissIdx) {
-  // Stack-block size mirrors FlatIndexMap::insertBatch: big enough to
-  // amortize the per-call dispatch, small enough to stay in L1.
-  constexpr size_t Block = 256;
-  uint8_t Admit[Block];
-  std::string_view Pass[Block];
-  uint64_t PassOut[Block];
-  uint32_t PassIdx[Block];
-  size_t Misses = 0;
-  for (size_t Base = 0; Base < N; Base += Block) {
-    const size_t Count = N - Base < Block ? N - Base : Block;
-    const size_t Admitted = Guard.matchesBatch(Keys + Base, Admit, Count);
-    if (Admitted == Count) {
-      // Whole block in-format: hash in place, no compaction copy.
-      Hash.hashBatch(Keys + Base, Out + Base, Count);
-      continue;
-    }
-    size_t P = 0;
-    for (size_t I = 0; I != Count; ++I) {
-      if (Admit[I]) {
-        Pass[P] = Keys[Base + I];
-        PassIdx[P] = static_cast<uint32_t>(Base + I);
-        ++P;
+        AnyBad |= K[I].size() ^ Len;
+      if (AnyBad == 0) {
+        AnyBad =
+            fixedInterleaved<C, true, NSteps>(A, K, Out + Base, Bad, Count);
       } else {
-        MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
+        for (size_t I = 0; I != Count; ++I) {
+          Bad[I] = K[I].size() ^ Len;
+          if (Bad[I] == 0)
+            Out[Base + I] = fixedOne<C, true, NSteps>(A, K[I].data(), Bad[I]);
+        }
+      }
+      if (AnyBad != 0)
+        for (size_t I = 0; I != Count; ++I)
+          if (Bad[I] != 0)
+            MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
+    }
+    return Misses;
+  }
+
+  static GuardedHash::Verdict twoPassOne(const GuardedHash &G, const char *D,
+                                         size_t Len) {
+    const std::string_view Key(D, Len);
+    if (!G.Pattern.matches(Key))
+      return {0, false};
+    return {G.Hash.valid() ? G.Hash(Key) : 0, true};
+  }
+
+  /// A membership sweep per block, then the hash's batch kernel over the
+  /// admitted keys: in place when the whole block is admitted, compacted
+  /// otherwise, so the batch kernel still runs wide.
+  static size_t twoPassBatch(const GuardedHash &G, const std::string_view *Keys,
+                             uint64_t *Out, size_t N, uint32_t *MissIdx) {
+    // Stack-block size mirrors FlatIndexMap::insertBatch: big enough to
+    // amortize the per-call dispatch, small enough to stay in L1.
+    constexpr size_t Block = 256;
+    uint8_t Admit[Block];
+    std::string_view Pass[Block];
+    uint64_t PassOut[Block];
+    uint32_t PassIdx[Block];
+    size_t Misses = 0;
+    for (size_t Base = 0; Base < N; Base += Block) {
+      const size_t Count = std::min(Block, N - Base);
+      if (G.Pattern.matchesBatch(Keys + Base, Admit, Count) == Count) {
+        hashAdmitted(G, Keys + Base, Out + Base, Count);
+        continue;
+      }
+      size_t P = 0;
+      for (size_t I = 0; I != Count; ++I) {
+        if (Admit[I]) {
+          Pass[P] = Keys[Base + I];
+          PassIdx[P] = static_cast<uint32_t>(Base + I);
+          ++P;
+        } else {
+          MissIdx[Misses++] = static_cast<uint32_t>(Base + I);
+        }
+      }
+      if (P != 0) {
+        hashAdmitted(G, Pass, PassOut, P);
+        for (size_t I = 0; I != P; ++I)
+          Out[PassIdx[I]] = PassOut[I];
       }
     }
-    if (P != 0) {
-      Hash.hashBatch(Pass, PassOut, P);
-      for (size_t I = 0; I != P; ++I)
-        Out[PassIdx[I]] = PassOut[I];
+    return Misses;
+  }
+
+  static void hashAdmitted(const GuardedHash &G, const std::string_view *Keys,
+                           uint64_t *Out, size_t N) {
+    if (G.Hash.valid())
+      G.Hash.hashBatch(Keys, Out, N);
+    else
+      std::fill_n(Out, N, 0);
+  }
+
+  /// Compiles \p G's pattern against its plan's load schedule and
+  /// selects the fused entries, when the plan's shape allows.
+  static void fuse(GuardedHash &G) {
+    if (!G.Hash.valid())
+      return;
+    const HashPlan &Plan = G.Hash.plan();
+    if (Plan.FallbackToStl || Plan.PartialLoad || !Plan.FixedLength ||
+        Plan.Family == HashFamily::Aes)
+      return;
+    const KeyPattern &P = G.Pattern;
+    if (!P.isFixedLength() || P.maxLength() < 8)
+      return;
+    const size_t Len = P.maxLength();
+    for (const PlanStep &S : Plan.Steps)
+      if (S.Offset + 8 > Len)
+        return; // The plan loads outside the guarded length.
+
+    // Express the pattern's constant bits on the windows the kernel
+    // loads.
+    std::vector<bool> Covered(Len, false);
+    for (const PlanStep &S : Plan.Steps) {
+      G.Checks.push_back(P.packWindow(S.Offset));
+      std::fill_n(Covered.begin() + S.Offset, 8, true);
     }
+    // Constant positions the hash never loads (e.g. the URL formats'
+    // literal prefix, which the synthesizer's skip table elides) get
+    // standalone windows, clamped so they never read past the key.
+    for (size_t Pos = 0; Pos != Len; ++Pos) {
+      if (Covered[Pos] || P.byteAt(Pos).constMask() == 0)
+        continue;
+      const size_t Offset = std::min(Pos, Len - 8);
+      G.Checks.push_back(P.packWindow(Offset));
+      std::fill_n(Covered.begin() + Offset, 8, true);
+    }
+    G.KeyLen = Len;
+    G.Steps = Plan.Steps.data();
+
+    const size_t M = Plan.Steps.size();
+    if (Plan.Family != HashFamily::Pext)
+      return select<Combine::Xor>(G, M);
+    if (G.Hash.isa() == IsaLevel::Native && hasHardwarePext())
+      return select<Combine::PextHw>(G, M);
+    for (const PlanStep &S : Plan.Steps)
+      G.Nets.push_back(PextNetwork::compile(S.Mask));
+    select<Combine::PextNet>(G, M);
   }
-  return Misses;
-}
 
-using GuardedBatchFnT = size_t (*)(const HashPlan &, const BatchGuard &,
-                                   const std::string_view *, uint64_t *,
-                                   size_t, uint32_t *);
-
-} // namespace
-
-BatchGuard SynthesizedHash::compileGuard(const KeyPattern &Guard) const {
-  BatchGuard G;
-  if (!Plan || Plan->FallbackToStl || Plan->PartialLoad || !Plan->FixedLength)
-    return G;
-  if (Plan->Family != HashFamily::Naive && Plan->Family != HashFamily::OffXor)
-    return G;
-  if (!Guard.isFixedLength() || Guard.maxLength() < 8)
-    return G;
-  const size_t Len = Guard.maxLength();
-  for (const PlanStep &S : Plan->Steps)
-    if (S.Offset + 8 > Len)
-      return G; // Plan loads outside the guarded length; stay two-pass.
-
-  // Express the guard's constant bits on the windows the kernel loads.
-  std::vector<bool> Covered(Len, false);
-  for (const PlanStep &S : Plan->Steps) {
-    const KeyPattern::WordCheck W = Guard.packWindow(S.Offset);
-    G.StepMasks.push_back(W.Mask);
-    G.StepValues.push_back(W.Value);
-    for (size_t I = 0; I != 8; ++I)
-      Covered[S.Offset + I] = true;
+  template <Combine C> static void select(GuardedHash &G, size_t M) {
+    G.One = byStepCount(
+        M, [](auto S) -> GuardedHash::OneFn { return fusedOne<C, S>; });
+    G.Batch = byStepCount(
+        M, [](auto S) -> GuardedHash::BatchFn { return fusedBatch<C, S>; });
   }
-  // Constant positions the hash never loads (e.g. the URL formats'
-  // literal prefix, which the synthesizer's skip table elides) get
-  // standalone windows, clamped so they never read past the key.
-  for (size_t P = 0; P != Len; ++P) {
-    if (Covered[P] || Guard.byteAt(P).constMask() == 0)
-      continue;
-    const size_t Offset = P < Len - 8 ? P : Len - 8;
-    G.Extra.push_back(Guard.packWindow(Offset));
-    for (size_t I = 0; I != 8; ++I)
-      Covered[Offset + I] = true;
-  }
-  G.KeyLen = Len;
-  G.Fused = true;
-  return G;
-}
+};
 
-size_t SynthesizedHash::hashBatchGuarded(const KeyPattern &Guard,
-                                         const BatchGuard &Compiled,
-                                         const std::string_view *Keys,
-                                         uint64_t *Out, size_t N,
-                                         uint32_t *MissIdx) const {
-  assert(Plan && "hashing with an empty SynthesizedHash");
-  if (!Compiled.Fused)
-    return sweepThenHashBatch(*this, Guard, Keys, Out, N, MissIdx);
-  assert(Compiled.StepMasks.size() == Plan->Steps.size() &&
-         "guard compiled against a different plan");
-  const GuardedBatchFnT Kernel =
-      byStepCount(Plan->Steps.size(), [](auto S) -> GuardedBatchFnT {
-        return guardedFixedXorBatch<S>;
-      });
-  return Kernel(*Plan, Compiled, Keys, Out, N, MissIdx);
+} // namespace sepe
+
+GuardedHash::GuardedHash(SynthesizedHash HashIn, KeyPattern PatternIn)
+    : One(GuardedKernels::twoPassOne), Batch(GuardedKernels::twoPassBatch),
+      Hash(std::move(HashIn)), Pattern(std::move(PatternIn)) {
+  GuardedKernels::fuse(*this);
 }
 
 SynthesizedHash::SynthesizedHash(std::shared_ptr<const HashPlan> Plan,
                                  IsaLevel Isa, BatchPath Preferred)
-    : Plan(std::move(Plan)) {
+    : Plan(std::move(Plan)), Isa(Isa) {
   assert(this->Plan && "SynthesizedHash requires a plan");
   Eval = selectEval(*this->Plan, Isa);
   // A Jit preference resolves through the interpreted ladder first (as

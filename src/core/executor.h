@@ -6,7 +6,9 @@
 ///
 /// \file
 /// SynthesizedHash evaluates a HashPlan at runtime — the in-process
-/// equivalent of compiling the C++ source that core/codegen.h emits. The
+/// equivalent of compiling the C++ source that core/codegen.h emits —
+/// and GuardedHash pairs one with the KeyPattern that guards it, so a
+/// served key is checked and hashed in one pass. The
 /// plan is compiled once, at attach time, into a pair of fused kernels:
 /// a per-key routine (one indirect call plus the plan's straight-line
 /// steps, with the common step counts specialized so even the step loop
@@ -24,7 +26,9 @@
 #ifndef SEPE_CORE_EXECUTOR_H
 #define SEPE_CORE_EXECUTOR_H
 
+#include "core/key_pattern.h"
 #include "core/plan.h"
+#include "support/bit_ops.h"
 #include "support/telemetry.h"
 
 #include <cassert>
@@ -95,28 +99,6 @@ inline void recordBatchDispatch(BatchPath Resolved, size_t N) {
 }
 #endif
 
-/// A KeyPattern membership guard compiled against one plan's load
-/// schedule (SynthesizedHash::compileGuard). When the plan is a
-/// fixed-length xor shape, the guard's per-position constant-bit checks
-/// are re-expressed as (mask, value) words aligned to the offsets the
-/// batch kernel already loads — the fused kernel then verifies
-/// membership with one AND+CMP on each word it was hashing anyway,
-/// plus a handful of Extra windows for constant positions no hash load
-/// covers (the constant prefixes of the URL formats). Fused() false
-/// means the plan shape has no fused kernel and guarded dispatch falls
-/// back to the membership-sweep-then-compact path.
-struct BatchGuard {
-  bool fused() const { return Fused; }
-
-  bool Fused = false;
-  size_t KeyLen = 0;
-  /// Aligned index-for-index with the plan's Steps.
-  std::vector<uint64_t> StepMasks;
-  std::vector<uint64_t> StepValues;
-  /// Standalone checks of constant positions no step loads.
-  std::vector<KeyPattern::WordCheck> Extra;
-};
-
 /// A container-ready hash functor backed by a HashPlan. Copyable and
 /// cheap to copy (shared plan ownership), so it can be handed to
 /// std::unordered_map like any other hasher.
@@ -143,6 +125,9 @@ public:
     return *Plan;
   }
 
+  /// The IsaLevel the kernels were selected for.
+  IsaLevel isa() const { return Isa; }
+
   /// Hashes \p Key. Precondition: Key conforms to the plan's key format
   /// (length within bounds); out-of-format keys still produce a value
   /// but no dispersion guarantees hold — exactly the contract of the
@@ -167,32 +152,6 @@ public:
 #endif
     Batch(*Plan, Keys, Out, N);
   }
-
-  /// Compiles \p Guard against this plan's load schedule (see
-  /// BatchGuard). Returns a non-fused guard when the plan shape has no
-  /// fused kernel — fixed-length Naive/OffXor plans whose loads lie
-  /// inside the guarded length are the fusable set. The caller caches
-  /// the result for the lifetime of the (plan, pattern) pair; the
-  /// adaptive runtime compiles one per published generation.
-  BatchGuard compileGuard(const KeyPattern &Guard) const;
-
-  /// Guard-aware batch dispatch, the entry point the adaptive runtime
-  /// (runtime/adaptive_hash.h) hashes through: every key admitted by
-  /// \p Guard runs the batch kernel and lands in Out at its own index;
-  /// the indices of the rejected keys are appended to \p MissIdx (caller
-  /// provides capacity for N) and their Out slots are left untouched for
-  /// the caller's fallback lane. Returns the number of misses.
-  /// \p Compiled must have been built by compileGuard on this same hash
-  /// with this same \p Guard. Fused guards run the guard compare inside
-  /// the batch kernel on words it already loads, so steady-state
-  /// overhead is a couple of ALU ops per word instead of a second
-  /// membership sweep. Otherwise an all-admitted block costs one
-  /// word-at-a-time membership sweep plus the ordinary hashBatch call,
-  /// and mixed blocks compact the admitted keys so the batch kernel
-  /// still runs wide.
-  size_t hashBatchGuarded(const KeyPattern &Guard, const BatchGuard &Compiled,
-                          const std::string_view *Keys, uint64_t *Out,
-                          size_t N, uint32_t *MissIdx) const;
 
   /// The batch kernel family hashBatch resolved to at attach time —
   /// never Auto; reflects what actually runs on this host.
@@ -229,6 +188,84 @@ private:
   EvalFn Eval = nullptr;
   BatchFn Batch = nullptr;
   BatchPath Resolved = BatchPath::Scalar;
+  IsaLevel Isa = IsaLevel::Native;
+};
+
+/// A SynthesizedHash and the KeyPattern that guards it, compiled
+/// together once per (plan, pattern) pair. Both entries return the
+/// pattern's verdict on each key and, for an admitted key, the image
+/// the hash's operator() gives it.
+///
+/// Fixed-length Naive, OffXor and Pext plans whose loads lie inside the
+/// pattern's length run *fused*: the pattern's constant-bit checks are
+/// re-expressed as (mask, value) words aligned to the offsets the
+/// kernel loads, so each word is loaded once, checked with an AND and
+/// an XOR, and combined into the image in the same pass. Constant
+/// positions no step loads (the URL formats' literal prefix) get
+/// standalone Extra windows. The kernels are the executor's own
+/// fixed-length bodies with the check compiled in. Every other shape (variable-length,
+/// partial-load, STL-fallback, Aes) checks the pattern first and then
+/// runs the attached kernel, inside the same two entries, so no caller
+/// branches on the plan's shape.
+///
+/// Without a hash (an invalid SynthesizedHash) the object is its
+/// pattern alone: admitted keys get image 0.
+class GuardedHash {
+public:
+  GuardedHash() : GuardedHash(SynthesizedHash(), KeyPattern()) {}
+  GuardedHash(SynthesizedHash Hash, KeyPattern Pattern);
+
+  bool valid() const { return Hash.valid(); }
+  const SynthesizedHash &hash() const { return Hash; }
+  const KeyPattern &pattern() const { return Pattern; }
+
+  /// True when the verdict and the image come from one pass over the
+  /// key's words.
+  bool fused() const { return KeyLen != 0; }
+
+  /// True when the pattern admits \p Key; \p Image then holds
+  /// hash()(Key). Image is unspecified for a rejected key.
+  bool admit(std::string_view Key, uint64_t &Image) const {
+    const Verdict V = One(*this, Key.data(), Key.size());
+    Image = V.Image;
+    return V.Admitted;
+  }
+
+  /// Batch form of admit(): every admitted key's image lands in Out at
+  /// its own index; the indices of the rejected keys are appended to
+  /// \p MissIdx in increasing order (caller provides capacity for N),
+  /// and their Out slots are unspecified. Returns the number of misses.
+  size_t admitBatch(const std::string_view *Keys, uint64_t *Out, size_t N,
+                    uint32_t *MissIdx) const {
+    return Batch(*this, Keys, Out, N, MissIdx);
+  }
+
+private:
+  friend struct GuardedKernels;
+
+  struct Verdict {
+    uint64_t Image;
+    bool Admitted;
+  };
+  using OneFn = Verdict (*)(const GuardedHash &, const char *, size_t);
+  using BatchFn = size_t (*)(const GuardedHash &, const std::string_view *,
+                             uint64_t *, size_t, uint32_t *);
+
+  OneFn One = nullptr;
+  BatchFn Batch = nullptr;
+  /// The guarded length of a fused object; 0 when not fused.
+  size_t KeyLen = 0;
+  /// Fused only: the steps of Hash's plan, which every copy of this
+  /// object shares, so a key's first load waits on one pointer, not
+  /// two.
+  const PlanStep *Steps = nullptr;
+  /// Fused only: one window per plan step (index for index, over the
+  /// word the step loads), then the Extra windows.
+  std::vector<KeyPattern::WordCheck> Checks;
+  /// Fused soft-pext only: each step's precompiled PextNetwork.
+  std::vector<PextNetwork> Nets;
+  SynthesizedHash Hash;
+  KeyPattern Pattern;
 };
 
 } // namespace sepe

@@ -319,7 +319,8 @@ void emitSingleBody(Assembler &A, const HashPlan &Plan, unsigned Base,
     }
     return;
   }
-  // Naive/OffXor: a pure load-xor chain, exactly evalFixedXor.
+  // Naive/OffXor: a pure load-xor chain, exactly the interpreter's
+  // xor combine (executor.cpp fixedOne).
   A.loadQ(RAX, Base, Steps[0].Offset);
   for (size_t S = 1; S != Steps.size(); ++S)
     A.xorLoadQ(RAX, Base, Steps[S].Offset);

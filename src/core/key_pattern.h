@@ -92,7 +92,8 @@ public:
   /// Batch membership: Out[I] = matches(Keys[I]) for I in [0, N); returns
   /// the number of admitted keys. The batch shape lets a guarded
   /// dispatcher test a whole block before committing it to the
-  /// specialized batch kernel (core/executor.h hashBatchGuarded).
+  /// specialized batch kernel (core/executor.h GuardedHash, for the
+  /// plan shapes it does not fuse).
   size_t matchesBatch(const std::string_view *Keys, uint8_t *Out,
                       size_t N) const {
     size_t Admitted = 0;
@@ -165,8 +166,8 @@ public:
 
   /// One word compare of the pattern's constant bits:
   /// (loadU64Le(Key + Offset) & Mask) == Value. The fixed-length fast
-  /// path of matches() runs them, and so do the fused batch guards
-  /// (core/executor.h BatchGuard).
+  /// path of matches() runs them, and so do the fused guarded kernels
+  /// (core/executor.h GuardedHash).
   struct WordCheck {
     uint32_t Offset = 0;
     uint64_t Mask = 0;

@@ -185,6 +185,19 @@ public:
            SeedMix;
   }
 
+  /// baseImage(Key), given \p Extracted = extraction()(Key) (ignored
+  /// for a raw-byte base): a caller that already holds the extraction
+  /// image — DirectIndexMap's guarded kernel — does not image the key
+  /// again.
+  uint64_t baseImage(std::string_view Key, uint64_t Extracted) const {
+    return (Plan->RawBase ? mphfRawMix(Key, Plan->Seed) : Extracted) ^
+           SeedMix;
+  }
+
+  /// The extraction hash baseImage() runs a key through; invalid for a
+  /// raw-byte base.
+  const SynthesizedHash &extraction() const { return Base; }
+
   /// Base images for \p N keys; uses the extraction plan's fused batch
   /// kernels when the plan has one.
   void baseBatch(const std::string_view *Keys, uint64_t *Out,

@@ -52,18 +52,14 @@ AdaptiveHash::AdaptiveHash(KeyPattern Pattern, AdaptiveOptions Opts)
     : Options(Opts), Sampler(SamplerCapacity),
       InFormatSampler(SamplerCapacity, 0x1f5a),
       Detector(Opts.DriftWindow, DriftThreshold) {
-  auto G = std::make_unique<Generation>();
-  G->Pattern = std::move(Pattern);
-  G->Epoch = 0;
-  if (!G->Pattern.empty()) {
-    Expected<HashPlan> Plan = synthesize(G->Pattern, Options.Family);
-    if (Plan) {
-      G->Fast = SynthesizedHash(Plan.take(), Options.Isa);
-      G->Guard = G->Fast.compileGuard(G->Pattern);
-    }
-    // A pattern the synthesizer rejects (e.g. all-constant) cold-starts
-    // on the fallback lane like an empty one.
-  }
+  // A pattern the synthesizer rejects (e.g. all-constant) cold-starts on
+  // the fallback lane like an empty one.
+  SynthesizedHash Fast;
+  if (!Pattern.empty())
+    if (Expected<HashPlan> Plan = synthesize(Pattern, Options.Family))
+      Fast = SynthesizedHash(Plan.take(), Options.Isa);
+  auto G = std::make_unique<Generation>(
+      GuardedHash(std::move(Fast), std::move(Pattern)), 0);
   {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     publish(std::move(G));
@@ -103,7 +99,7 @@ void AdaptiveHash::sampleInFormatBatch(const Generation *G,
                                        const std::string_view *Keys,
                                        size_t N, size_t Misses) const {
   const size_t Every = Options.QualitySampleEvery;
-  if (Every == 0 || !G->Fast.valid() || Misses >= N)
+  if (Every == 0 || !G->Guarded.valid() || Misses >= N)
     return;
   const uint64_t Admitted = N - Misses;
   const uint64_t Before =
@@ -115,7 +111,7 @@ void AdaptiveHash::sampleInFormatBatch(const Generation *G,
   for (uint64_t T = Before + (Every - Before % Every) % Every;
        T < Before + Admitted; T += Every) {
     const std::string_view Key = Keys[static_cast<size_t>(T % N)];
-    if (G->Pattern.matches(Key))
+    if (G->Guarded.pattern().matches(Key))
       InFormatSampler.offer(Key);
   }
 }
@@ -131,8 +127,8 @@ void AdaptiveHash::hashBatch(const std::string_view *Keys, uint64_t *Out,
 
 AdaptiveHash::Routed AdaptiveHash::route(std::string_view Key) const {
   const Generation *G = active();
-  if (G->Fast.valid() && G->Pattern.matches(Key)) {
-    const uint64_t H = G->Fast(Key);
+  uint64_t H;
+  if (G->Guarded.valid() && G->Guarded.admit(Key, H)) {
     maybeSampleInFormat(Key);
     if (Detector.observeClean() == DriftDetector::Window::Tripped)
       onTripped();
@@ -164,7 +160,7 @@ size_t AdaptiveHash::guardedBatch(const Generation *G,
       MissIdx[Misses] = static_cast<uint32_t>(K);
     ++Misses;
   };
-  if (!G->Fast.valid()) {
+  if (!G->Guarded.valid()) {
     // Cold start: everything takes the fallback lane and is sampled.
     for (size_t I = 0; I != N; ++I)
       Miss(I);
@@ -173,8 +169,8 @@ size_t AdaptiveHash::guardedBatch(const Generation *G,
     uint32_t Local[Block];
     for (size_t Base = 0; Base < N; Base += Block) {
       const size_t Count = std::min(N - Base, Block);
-      const size_t M = G->Fast.hashBatchGuarded(
-          G->Pattern, G->Guard, Keys + Base, Out + Base, Count, Local);
+      const size_t M =
+          G->Guarded.admitBatch(Keys + Base, Out + Base, Count, Local);
       for (size_t I = 0; I != M; ++I)
         Miss(Base + Local[I]);
     }
@@ -192,13 +188,17 @@ size_t AdaptiveHash::guardedBatch(const Generation *G,
 
 uint64_t AdaptiveHash::epoch() const { return active()->Epoch; }
 
-KeyPattern AdaptiveHash::pattern() const { return active()->Pattern; }
+KeyPattern AdaptiveHash::pattern() const {
+  return active()->Guarded.pattern();
+}
 
-SynthesizedHash AdaptiveHash::specialized() const { return active()->Fast; }
+SynthesizedHash AdaptiveHash::specialized() const {
+  return active()->Guarded.hash();
+}
 
 AdaptiveHash::Snapshot AdaptiveHash::snapshot() const {
   const Generation *G = active();
-  return {G->Epoch, G->Pattern, G->Fast};
+  return {G->Epoch, G->Guarded.pattern(), G->Guarded.hash()};
 }
 
 bool AdaptiveHash::pumpResynthesis() {
@@ -231,10 +231,11 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
   // Cold start joins nothing: joining with an empty pattern would widen
   // MinLen to 0 and every position to near-top, destroying the structure
   // the samples just revealed.
-  const KeyPattern Joined = (!Cur->Fast.valid() && Cur->Pattern.empty())
-                                ? Sampled
-                                : join(Cur->Pattern, Sampled);
-  if (Joined == Cur->Pattern) {
+  const KeyPattern &CurPattern = Cur->Guarded.pattern();
+  KeyPattern Joined = (!Cur->Guarded.valid() && CurPattern.empty())
+                          ? Sampled
+                          : join(CurPattern, Sampled);
+  if (Joined == CurPattern) {
     SEPE_COUNT("adaptive.resynthesis.skipped_unchanged");
     Attempt.setArg(static_cast<uint64_t>(ResynthOutcome::SkippedUnchanged));
     return false;
@@ -246,13 +247,11 @@ bool AdaptiveHash::performResynthesis(bool RespectCooldown) {
     FailedSyntheses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  auto G = std::make_unique<Generation>();
-  G->Pattern = Joined;
-  G->Fast = SynthesizedHash(Plan.take(), Options.Isa);
-  G->Guard = G->Fast.compileGuard(G->Pattern);
-  G->Epoch = Cur->Epoch + 1;
-  const uint64_t NewEpoch = G->Epoch;
-  publish(std::move(G));
+  const uint64_t NewEpoch = Cur->Epoch + 1;
+  publish(std::make_unique<Generation>(
+      GuardedHash(SynthesizedHash(Plan.take(), Options.Isa),
+                  std::move(Joined)),
+      NewEpoch));
   Swaps.fetch_add(1, std::memory_order_relaxed);
   LastSwapNs.store(nowNs(), std::memory_order_relaxed);
   Detector.reset();

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The adaptive runtime around a SynthesizedHash: a guarded dispatcher
-/// whose fast path runs the specialized kernel behind a word-at-a-time
-/// KeyPattern membership check. Keys the guard rejects are hashed with
+/// whose fast path checks each key against the generation's KeyPattern
+/// and hashes it in one pass (core/executor.h GuardedHash). Keys the guard rejects are hashed with
 /// a generic fallback (so callers always get a value), fed into a
 /// reservoir sampler, and counted by a sliding-window drift detector.
 /// When the mismatch ratio of a window crosses threshold, a background
@@ -123,9 +123,9 @@ public:
   /// without the lane decision.
   uint64_t operator()(std::string_view Key) const;
 
-  /// Batch form: Out[I] = (*this)(Keys[I]). Guard sweep + specialized
-  /// batch kernel for admitted keys, fallback lane for the rest; one
-  /// drift observation per call.
+  /// Batch form: Out[I] = (*this)(Keys[I]). The guarded batch kernel
+  /// for admitted keys, fallback lane for the rest; one drift
+  /// observation per call.
   void hashBatch(const std::string_view *Keys, uint64_t *Out,
                  size_t N) const;
 
@@ -173,6 +173,20 @@ public:
   size_t routeBatch(const std::string_view *Keys, uint64_t *Out, size_t N,
                     uint32_t *MissIdx, uint64_t &Epoch) const;
 
+  /// Counts \p N in-format keys that a cache in front of this hash
+  /// served without routing them (ServingTable's static lane), so the
+  /// drift windows cover the whole stream and not only the keys the
+  /// cache missed. One key counts in the thread's owned stripe, as
+  /// route() counts it; more count with one window add.
+  void observeAdmitted(size_t N) const {
+    if (N == 0)
+      return;
+    const DriftDetector::Window W =
+        N == 1 ? Detector.observeClean() : Detector.observe(N, 0);
+    if (W == DriftDetector::Window::Tripped)
+      onTripped();
+  }
+
   /// Hot swaps completed.
   uint64_t swaps() const { return Swaps.load(std::memory_order_relaxed); }
 
@@ -206,14 +220,11 @@ public:
   }
 
 private:
-  /// One published (pattern, hash) pair. Immutable after publish;
-  /// readers reach it through one acquire load.
+  /// One published generation: its pattern and hash, compiled
+  /// together so a key is checked and hashed in one pass. Immutable
+  /// after publish; readers reach it through one acquire load.
   struct Generation {
-    KeyPattern Pattern;
-    SynthesizedHash Fast; ///< Invalid during a cold start.
-    /// Pattern compiled against Fast's load schedule so the batch path
-    /// guards on words the kernel already loads (executor.h BatchGuard).
-    BatchGuard Guard;
+    GuardedHash Guarded; ///< Its hash is invalid during a cold start.
     uint64_t Epoch = 0;
   };
 
@@ -226,7 +237,7 @@ private:
   bool performResynthesis(bool RespectCooldown);
 
   /// The body of hashBatch() and routeBatch() over generation \p G:
-  /// guard sweep + specialized kernel, fallback and sampling for the
+  /// the guarded batch kernel, fallback and sampling for the
   /// rejected keys (whose indices land in MissIdx, in increasing order,
   /// unless it is null), then one drift observation. Returns the miss
   /// count.

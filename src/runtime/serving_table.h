@@ -44,8 +44,11 @@
 /// Sealed shards can go one step further: sealStatic() snapshots the
 /// present, in-format subset of a key list into a DirectIndexMap
 /// (container/direct_index_map.h) over a synthesized minimal perfect
-/// hash and serves those keys as values[mphf(key)] — a pattern check,
-/// one image compare, no probing, no locks. The lane is sealed only
+/// hash and serves those keys as values[mphf(key)] — one guarded
+/// imaging pass, one image compare, no probing, no locks. Its hits
+/// still count as admitted keys in the adaptive hash's drift windows,
+/// so a sealed table's detector sees the whole stream. The lane is
+/// sealed only
 /// under a generation whose plan is invertible for its pattern, so an
 /// admitted key's image identifies it and the compare is exact without
 /// storing keys. The static lane is a pure cache in front of the
@@ -185,11 +188,14 @@ public:
     StaticPtr.store(nullptr, std::memory_order_release);
   }
 
-  /// Copies the value for \p Key into \p Out; false when absent.
+  /// Copies the value for \p Key into \p Out; false when absent. A
+  /// static-lane hit is never routed, but it still counts as an
+  /// admitted key in the drift windows; every other key is routed once.
   bool get(std::string_view Key, Value &Out) const {
     if (const DirectIndexMap<Value> *S = staticLane()) {
       if (const Value *Hit = S->find(Key)) {
         SEPE_COUNT("serving_table.static.hit");
+        Adaptive.observeAdmitted(1);
         Out = *Hit;
         return true;
       }
@@ -248,17 +254,18 @@ public:
     // Sealed tables serve most traffic from the static lane: batch the
     // lookups through DirectIndexMap::findBatch and let only the
     // residue (out-of-set keys, unsealed inserts) take the dynamic
-    // path per key.
+    // path per key. The static hits count in the drift windows with
+    // one observation for the call.
     if (const DirectIndexMap<Value> *S = staticLane()) {
       const Value *Sealed[RouteBlock];
       size_t Hits = 0;
+      size_t StaticHits = 0;
       for (size_t Base = 0; Base < N; Base += RouteBlock) {
         const size_t Count = std::min(RouteBlock, N - Base);
-        S->findBatch(Keys + Base, Sealed, Count);
+        StaticHits += S->findBatch(Keys + Base, Sealed, Count);
         for (size_t I = 0; I != Count; ++I) {
           const size_t K = Base + I;
           if (Sealed[I]) {
-            SEPE_COUNT("serving_table.static.hit");
             Out[K] = *Sealed[I];
             Found[K] = 1;
             ++Hits;
@@ -270,6 +277,8 @@ public:
           }
         }
       }
+      SEPE_COUNT_N("serving_table.static.hit", StaticHits);
+      Adaptive.observeAdmitted(StaticHits);
       return Hits;
     }
     const ShardedIndexMap<Value> *F = fast();

@@ -346,8 +346,8 @@ TEST_P(AdaptiveFormatTest, BatchAgreesWithSingleKeyOnMixedStream) {
   AdaptiveHash Adaptive(paperKeyFormat(GetParam()).abstract(), Options);
   const SynthesizedHash Specialized = Adaptive.specialized();
 
-  // Interleave in- and out-of-format keys so every 256-block is mixed,
-  // exercising the compaction path of hashBatchGuarded.
+  // Interleave in- and out-of-format keys so every block is mixed,
+  // exercising the guarded batch kernel's miss collection.
   std::vector<std::string> Keys = formatKeys(GetParam(), 600, 7);
   const DriftProbe Probe = findDriftProbe(Adaptive.pattern());
   ASSERT_TRUE(Probe.Valid);

@@ -19,12 +19,17 @@
 
 #include "core/regex_parser.h"
 #include "core/synthesizer.h"
-#include "hashes/polymur_like.h"
+#include "hashes/city.h"
 #include "keygen/distributions.h"
+#include "runtime/adaptive_hash.h"
 #include "support/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <random>
 #include <string>
 #include <string_view>
@@ -291,87 +296,168 @@ TEST(BatchExecutorTest, StlFallbackPlansBatchLikeSingle) {
 }
 
 TEST(BatchAdapterTest, FallbackLoopCoversUnspecializedHashers) {
-  // PolymurLikeHash has no native batch kernel; the support/batch.h
-  // adapter must supply the loop-over-single fallback.
-  static_assert(!HasNativeBatch<PolymurLikeHash>);
+  // CityHash has no native batch kernel; the support/batch.h adapter
+  // must supply the loop-over-single fallback.
+  static_assert(!HasNativeBatch<CityHash>);
   static_assert(HasNativeBatch<MurmurStlHash>);
   static_assert(HasNativeBatch<FnvHash>);
   static_assert(HasNativeBatch<SynthesizedHash>);
   static_assert(HasNativeBatch<PerfectHashFunction>);
 
-  const PolymurLikeHash Polymur;
+  const CityHash City;
   const std::vector<std::string> Text = {"alpha", "beta", "gamma-delta",
                                          "epsilon", "z"};
   const std::vector<std::string_view> Views = viewsOf(Text);
   std::vector<uint64_t> Out(Views.size());
-  hashBatch(Polymur, Views.data(), Out.data(), Views.size());
+  hashBatch(City, Views.data(), Out.data(), Views.size());
   for (size_t I = 0; I != Views.size(); ++I)
-    EXPECT_EQ(Out[I], Polymur(Views[I]));
+    EXPECT_EQ(Out[I], City(Views[I]));
 }
 
-// The fused guarded kernel (compileGuard + the precompiled-guard
-// hashBatchGuarded overload) must agree exactly with the matches()
-// oracle on admit/reject and with the plain batch kernel on every
-// admitted key — across every paper format, with mutated bytes, wrong
-// lengths, and chunk-boundary placements in one stream.
-class FusedGuardEquivalence : public ::testing::TestWithParam<PaperKey> {};
+// A GuardedHash must agree exactly with the matches() oracle on
+// admit/reject, single-key and batch, and with the unguarded operator()
+// on every admitted key's image — across every paper format and ISA
+// level, with mutated bytes, wrong lengths, chunk-boundary placements,
+// and keys that end where an unreadable page begins.
 
-TEST_P(FusedGuardEquivalence, AgreesWithMembershipOracle) {
-  const PaperKey Key = GetParam();
-  const KeyPattern Pattern = paperKeyFormat(Key).abstract();
-  Expected<HashPlan> Plan = synthesize(Pattern, HashFamily::OffXor);
-  ASSERT_TRUE(Plan) << Plan.error().Message;
-  const SynthesizedHash Hash(Plan.take());
-  const BatchGuard Compiled = Hash.compileGuard(Pattern);
-  ASSERT_TRUE(Compiled.fused()) << paperKeyName(Key)
-                                << " should compile to a fused guard";
-
-  KeyGenerator Gen(paperKeyFormat(Key), KeyDistribution::Uniform,
-                   0xfeed + static_cast<uint64_t>(Key));
-  // 331 keys: several 64-key guard chunks plus a 4-wide remainder.
-  std::vector<std::string> Text = Gen.distinct(331);
-  // Sprinkle rejections everywhere a kernel lane could mishandle them:
-  // mutated bytes at chunk starts/ends, wrong lengths mid-chunk (which
-  // demote their whole chunk to the scalar lane), and a constant-prefix
-  // violation when the format has uncovered constant positions.
-  std::mt19937_64 Rng(99);
-  for (const size_t I : {size_t{0}, size_t{63}, size_t{64}, size_t{127},
-                         size_t{200}, Text.size() - 1})
-    Text[I].back() = '\xff';
-  Text[70] += "tail";
-  Text[130].pop_back();
-  Text[131].clear();
-  for (size_t I = 0; I != 40; ++I) {
-    std::string &K = Text[Rng() % Text.size()];
-    if (!K.empty())
-      K[Rng() % K.size()] ^= 0x80;
-  }
-  const std::vector<std::string_view> Views = viewsOf(Text);
-
+/// Checks \p G against the oracles on \p Views.
+void expectAgreesWithOracle(const GuardedHash &G,
+                            const std::vector<std::string_view> &Views) {
+  const KeyPattern &Pattern = G.pattern();
   std::vector<uint64_t> Out(Views.size(), 0);
   std::vector<uint32_t> MissIdx(Views.size());
-  const size_t Misses = Hash.hashBatchGuarded(
-      Pattern, Compiled, Views.data(), Out.data(), Views.size(),
-      MissIdx.data());
-
+  const size_t Misses =
+      G.admitBatch(Views.data(), Out.data(), Views.size(), MissIdx.data());
   std::vector<bool> Missed(Views.size(), false);
   for (size_t I = 0; I != Misses; ++I) {
     ASSERT_LT(MissIdx[I], Views.size());
     ASSERT_FALSE(Missed[MissIdx[I]]) << "duplicate miss index";
+    if (I != 0) {
+      ASSERT_LT(MissIdx[I - 1], MissIdx[I]) << "miss indices increase";
+    }
     Missed[MissIdx[I]] = true;
   }
   size_t OracleMisses = 0;
   for (size_t I = 0; I != Views.size(); ++I) {
     const bool InFormat = Pattern.matches(Views[I]);
     OracleMisses += !InFormat;
-    EXPECT_EQ(Missed[I], !InFormat)
-        << paperKeyName(Key) << " key[" << I << "]";
+    uint64_t Image = 0;
+    EXPECT_EQ(G.admit(Views[I], Image), InFormat) << "key[" << I << "]";
+    EXPECT_EQ(Missed[I], !InFormat) << "key[" << I << "]";
     if (InFormat) {
-      EXPECT_EQ(Out[I], Hash(Views[I]))
-          << paperKeyName(Key) << " key[" << I << "]";
+      EXPECT_EQ(Image, G.hash()(Views[I])) << "key[" << I << "]";
+      EXPECT_EQ(Out[I], G.hash()(Views[I])) << "key[" << I << "]";
     }
   }
   EXPECT_EQ(Misses, OracleMisses);
+}
+
+/// Keys that each end at the last byte before a PROT_NONE page, so a
+/// kernel that loads past a key's end faults.
+class PageEndKeys {
+public:
+  explicit PageEndKeys(size_t Slots)
+      : Page(static_cast<size_t>(sysconf(_SC_PAGESIZE))), Slots(Slots) {
+    Map = static_cast<char *>(mmap(nullptr, 2 * Page * Slots,
+                                   PROT_READ | PROT_WRITE,
+                                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+    EXPECT_NE(Map, MAP_FAILED);
+    for (size_t S = 0; S != Slots; ++S)
+      EXPECT_EQ(mprotect(Map + (2 * S + 1) * Page, Page, PROT_NONE), 0);
+  }
+  ~PageEndKeys() { munmap(Map, 2 * Page * Slots); }
+  PageEndKeys(const PageEndKeys &) = delete;
+  PageEndKeys &operator=(const PageEndKeys &) = delete;
+
+  /// Copies \p Text so that it ends at slot \p S's page end.
+  std::string_view place(size_t S, std::string_view Text) {
+    char *End = Map + (2 * S + 1) * Page;
+    std::memcpy(End - Text.size(), Text.data(), Text.size());
+    return {End - Text.size(), Text.size()};
+  }
+
+private:
+  size_t Page;
+  size_t Slots;
+  char *Map = nullptr;
+};
+
+class FusedGuardEquivalence : public ::testing::TestWithParam<PaperKey> {
+protected:
+  /// Runs the oracle check for \p Family at every ISA level, asserting
+  /// that the guard fuses exactly when \p Fused.
+  void checkFamily(HashFamily Family, bool Fused) {
+    const PaperKey Key = GetParam();
+    const KeyPattern Pattern = paperKeyFormat(Key).abstract();
+    Expected<HashPlan> Plan = synthesize(Pattern, Family);
+    ASSERT_TRUE(Plan) << Plan.error().Message;
+    const auto Shared = std::make_shared<const HashPlan>(Plan.take());
+
+    KeyGenerator Gen(paperKeyFormat(Key), KeyDistribution::Uniform,
+                     0xfeed + static_cast<uint64_t>(Key));
+    // 331 keys: several 64-key guard chunks plus a 4-wide remainder.
+    std::vector<std::string> Text = Gen.distinct(331);
+    // Sprinkle rejections everywhere a kernel lane could mishandle
+    // them: mutated bytes at chunk starts/ends, wrong lengths mid-chunk
+    // (which demote their whole chunk to the per-key lane), and a
+    // constant-prefix violation when the format has uncovered constant
+    // positions.
+    std::mt19937_64 Rng(99);
+    for (const size_t I : {size_t{0}, size_t{63}, size_t{64}, size_t{127},
+                           size_t{200}, Text.size() - 1})
+      Text[I].back() = '\xff';
+    Text[70] += "tail";
+    Text[130].pop_back();
+    Text[131].clear();
+    for (size_t I = 0; I != 40; ++I) {
+      std::string &K = Text[Rng() % Text.size()];
+      if (!K.empty())
+        K[Rng() % K.size()] ^= 0x80;
+    }
+    const std::vector<std::string_view> Views = viewsOf(Text);
+
+    // Page-end keys: one of every length from 0 to Len + 1 (the prefix
+    // of an in-format key, or one with a byte appended), then eight of
+    // length Len, alternately in-format and with the drift probe's
+    // byte, so the interleaved loop runs at the page end too.
+    const std::vector<std::string> Valid = Gen.distinct(8);
+    const size_t Len = Pattern.maxLength();
+    const DriftProbe Probe = findDriftProbe(Pattern);
+    ASSERT_TRUE(Probe.Valid);
+    PageEndKeys Pages(Len + 2 + Valid.size());
+    std::vector<std::string_view> Lengths, Edge;
+    for (size_t L = 0; L <= Len + 1; ++L)
+      Lengths.push_back(
+          Pages.place(L, L <= Len ? Valid[0].substr(0, L) : Valid[0] + "x"));
+    for (size_t I = 0; I != Valid.size(); ++I) {
+      std::string K = Valid[I];
+      if (I % 2 == 1)
+        K[Probe.Pos] = Probe.Byte;
+      Edge.push_back(Pages.place(Len + 2 + I, K));
+    }
+
+    for (IsaLevel Isa : AllIsaLevels) {
+      SCOPED_TRACE(std::string(paperKeyName(Key)) + " " + isaName(Isa));
+      const GuardedHash G(SynthesizedHash(Shared, Isa), Pattern);
+      ASSERT_EQ(G.fused(), Fused);
+      expectAgreesWithOracle(G, Views);
+      expectAgreesWithOracle(G, Lengths);
+      expectAgreesWithOracle(G, Edge);
+    }
+  }
+};
+
+TEST_P(FusedGuardEquivalence, AgreesWithMembershipOracle) {
+  checkFamily(HashFamily::OffXor, /*Fused=*/true);
+}
+
+TEST_P(FusedGuardEquivalence, PextAgreesWithMembershipOracle) {
+  checkFamily(HashFamily::Pext, /*Fused=*/true);
+}
+
+// Aes keeps the two-pass shape: matches(), then the attached kernel.
+TEST_P(FusedGuardEquivalence, TwoPassAesAgreesWithMembershipOracle) {
+  checkFamily(HashFamily::Aes, /*Fused=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, FusedGuardEquivalence,

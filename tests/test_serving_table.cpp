@@ -184,8 +184,8 @@ TEST(ServingTableTest, DriftSwapMigrateSweepKeepsEveryKeyVisible) {
   EXPECT_EQ(NewEpoch, 1u);
 
   // Between swap and maintain: fast lane still labeled with the old
-  // epoch, every lookup still correct (labeled probes go Stale and
-  // redo guarded).
+  // epoch, every lookup still correct (the routed get sees route's
+  // label is not the lane's epoch and judges the key itself).
   uint64_t V = 0;
   ASSERT_TRUE(Table.get(InFormat[0], V));
   EXPECT_EQ(V, 0u);
@@ -578,6 +578,71 @@ TEST(ServingTableStaticTest, EraseOfSealedKeyInvalidatesTheLane) {
   // Re-seal after the erase: one fewer key, and serving resumes.
   EXPECT_EQ(Table.sealStatic(Views), Keys.size() - 1);
   EXPECT_TRUE(Table.staticLaneActive());
+}
+
+TEST(ServingTableStaticTest, StaticHitsCountInTheDriftWindows) {
+  // A static-lane hit never reaches route(), but the drift windows must
+  // still count it: a detector that sees only the keys the lane misses
+  // reads a ratio near 1 on any steady trickle of out-of-format keys.
+  // One stream, driven against a sealed and an unsealed table, must
+  // read the same window ratio and trip (or not) alike.
+  const KeyPattern Pattern = patternOf(SsnRegex);
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 1024, 91);
+  const std::vector<std::string> Drifted = driftedCopies(Keys, Pattern);
+  const std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  constexpr size_t StreamKeys = 64000;
+  constexpr size_t BatchKeys = 64;
+  // One key in every Every is out of format: 0.5%, then 5%.
+  for (const size_t Every : {size_t{200}, size_t{20}}) {
+    SCOPED_TRACE("one key in " + std::to_string(Every) + " drifted");
+    const auto StreamKey = [&](size_t I) -> std::string_view {
+      return I % Every == Every - 1 ? Drifted[I % Drifted.size()]
+                                    : Keys[I % Keys.size()];
+    };
+    const bool Trips = Every == 20;
+    for (const bool Batched : {false, true}) {
+      SCOPED_TRACE(Batched ? "getBatch" : "get");
+      ServingTable<uint64_t> Sealed(Pattern, servingOptions());
+      ServingTable<uint64_t> Unsealed(Pattern, servingOptions());
+      for (size_t I = 0; I != Keys.size(); ++I) {
+        Sealed.put(Keys[I], I);
+        Unsealed.put(Keys[I], I);
+      }
+      ASSERT_EQ(Sealed.sealStatic(Views), Keys.size());
+      ASSERT_TRUE(Sealed.staticLaneActive());
+      // The seal reads every key once through the dynamic lanes; read
+      // them from the unsealed table too, so both detectors start the
+      // stream from the same state.
+      uint64_t V = 0;
+      for (const std::string &Key : Keys)
+        ASSERT_TRUE(Unsealed.get(Key, V));
+
+      if (!Batched) {
+        for (size_t I = 0; I != StreamKeys; ++I) {
+          const std::string_view Key = StreamKey(I);
+          const bool Hit = Sealed.get(Key, V);
+          ASSERT_EQ(Unsealed.get(Key, V), Hit);
+        }
+        // The same sequence of admitted and rejected keys reached both
+        // detectors, so their windows closed alike.
+        EXPECT_EQ(Sealed.adaptive().windowMismatchRatio(),
+                  Unsealed.adaptive().windowMismatchRatio());
+      } else {
+        std::string_view Block[BatchKeys];
+        uint64_t Out[BatchKeys];
+        uint8_t Found[BatchKeys];
+        for (size_t I = 0; I != StreamKeys; I += BatchKeys) {
+          for (size_t K = 0; K != BatchKeys; ++K)
+            Block[K] = StreamKey(I + K);
+          const size_t Hits = Sealed.getBatch(Block, Out, Found, BatchKeys);
+          ASSERT_EQ(Unsealed.getBatch(Block, Out, Found, BatchKeys), Hits);
+        }
+      }
+      EXPECT_EQ(Sealed.adaptive().resynthesisPending(), Trips);
+      EXPECT_EQ(Unsealed.adaptive().resynthesisPending(), Trips);
+      EXPECT_TRUE(Sealed.staticLaneActive());
+    }
+  }
 }
 
 TEST(ServingTableStaticTest, DropStaticAndEmptySealAreBenign) {
