@@ -403,9 +403,12 @@ public:
     SEPE_SPAN("sharded.migrate", Migrate, NewLabel);
     std::lock_guard<std::mutex> MigrateLock(MigrateMutex);
     Table *Old = activeMutable();
+    // Each successor shard starts at the old table's mean shard load, so
+    // the copy below inserts without growing (FlatIndexMap sizes for
+    // twice its initial capacity).
     auto Next = std::make_unique<Table>(
         std::move(NewHash), std::move(NewPattern), NewLabel, Old->ShardBits,
-        /*InitialCapacityPerShard=*/16);
+        /*InitialCapacityPerShard=*/size() >> Old->ShardBits);
     // Publish the successor pointer *before* any seal: a writer reads
     // it only after observing Sealed under a shard lock the migrator
     // released after this store, so the mutex ordering carries it over.
@@ -638,12 +641,16 @@ private:
     return S.Mutex;
   }
   static std::shared_mutex &acquireUnique(const Shard &S) {
-    S.UniqueAcquires.fetch_add(1, std::memory_order_relaxed);
     if (!S.Mutex.try_lock()) {
       S.UniqueContended.fetch_add(1, std::memory_order_relaxed);
       SEPE_COUNT("sharded_index_map.lock.contended_write");
       S.Mutex.lock();
     }
+    // Only the lock holder writes UniqueAcquires, so a plain increment
+    // of the atomic loses no count and needs no locked add.
+    S.UniqueAcquires.store(
+        S.UniqueAcquires.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
     return S.Mutex;
   }
 

@@ -24,6 +24,15 @@
 
 namespace sepe {
 
+/// Widens every bit pair of \p Bits that holds a set bit to a full 11
+/// pair. Bit pairs never straddle a byte, so this works on one byte or
+/// on eight at once: the quad join and pattern inference both use it to
+/// turn "bits that vary" into "pairs that are top".
+constexpr uint64_t spreadPairs(uint64_t Bits) {
+  const uint64_t Any = (Bits | (Bits >> 1)) & 0x5555555555555555ull;
+  return Any | (Any << 1);
+}
+
 /// The join of the quad abstractions of a set of bytes. Invariant:
 /// ConstMask covers whole bit pairs (each pair of mask bits is 00 or 11)
 /// and ConstValue is zero outside ConstMask.
@@ -87,14 +96,12 @@ public:
   /// Pointwise quad join (the least upper bound in the product lattice).
   friend constexpr BytePattern join(BytePattern A, BytePattern B) {
     // A bit pair stays constant iff it is constant on both sides and the
-    // values agree. Compute "values agree" at pair granularity.
-    const uint8_t Disagree = static_cast<uint8_t>(A.ConstValue ^ B.ConstValue);
-    uint8_t Mask = static_cast<uint8_t>(A.ConstMask & B.ConstMask);
-    for (unsigned Shift = 0; Shift < 8; Shift += 2) {
-      const uint8_t PairMask = static_cast<uint8_t>(0x3 << Shift);
-      if ((Mask & PairMask) != PairMask || (Disagree & PairMask) != 0)
-        Mask = static_cast<uint8_t>(Mask & ~PairMask);
-    }
+    // values agree: drop every pair holding a bit that is free on either
+    // side or differs between them.
+    const uint8_t Unsettled = static_cast<uint8_t>(
+        static_cast<uint8_t>(~(A.ConstMask & B.ConstMask)) |
+        (A.ConstValue ^ B.ConstValue));
+    const uint8_t Mask = static_cast<uint8_t>(~spreadPairs(Unsettled));
     return BytePattern(Mask, static_cast<uint8_t>(A.ConstValue & Mask));
   }
 

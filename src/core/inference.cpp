@@ -6,46 +6,55 @@
 
 #include "core/inference.h"
 
+#include "support/bit_ops.h"
 #include "support/telemetry.h"
 
+#include <algorithm>
 #include <istream>
 
 using namespace sepe;
 
 void PatternBuilder::addKey(std::string_view Key) {
-  if (Count == 0) {
+  if (Count++ == 0) {
+    First.assign(Key);
+    Diff.assign((Key.size() + 7) / 8, 0);
     MinLen = MaxLen = Key.size();
-    Bytes.reserve(Key.size());
-    for (char C : Key)
-      Bytes.push_back(BytePattern::fromByte(static_cast<uint8_t>(C)));
-    Count = 1;
     return;
   }
-
-  // Positions beyond a key's length contribute top (Definition 3.2's
-  // treatment of missing bit pairs), so widening the pattern tops the new
-  // tail for every previously seen shorter key and vice versa.
-  if (Key.size() > MaxLen) {
-    Bytes.resize(Key.size(), BytePattern::top());
-    MaxLen = Key.size();
-  }
   MinLen = std::min(MinLen, Key.size());
+  MaxLen = std::max(MaxLen, Key.size());
 
-  for (size_t I = 0; I != Bytes.size(); ++I) {
-    const BytePattern Incoming =
-        I < Key.size() ? BytePattern::fromByte(static_cast<uint8_t>(Key[I]))
-                       : BytePattern::top();
-    Bytes[I] = join(Bytes[I], Incoming);
-  }
-  ++Count;
+  // Every load stays inside the first MinLen bytes, which this key and
+  // First both hold: a partial last word is read as the word ending at
+  // MinLen and shifted down into place.
+  const char *K = Key.data();
+  const char *F = First.data();
+  const size_t Words = MinLen / 8;
+  const size_t Tail = MinLen % 8;
+  for (size_t W = 0; W != Words; ++W)
+    Diff[W] |= loadU64Le(K + 8 * W) ^ loadU64Le(F + 8 * W);
+  if (Tail == 0)
+    return;
+  if (Words == 0)
+    Diff[0] |= loadBytesLe(K, Tail) ^ loadBytesLe(F, Tail);
+  else
+    Diff[Words] |= (loadU64Le(K + MinLen - 8) ^ loadU64Le(F + MinLen - 8)) >>
+                   (8 * (8 - Tail));
 }
 
 KeyPattern PatternBuilder::pattern() const {
   if (Count == 0)
     return KeyPattern();
+  std::vector<BytePattern> Bytes(MaxLen, BytePattern::top());
+  for (size_t I = 0; I != MinLen; ++I) {
+    const uint8_t Mask = static_cast<uint8_t>(
+        ~(spreadPairs(Diff[I / 8]) >> (8 * (I % 8))));
+    Bytes[I] = BytePattern::fromMaskValue(
+        Mask, static_cast<uint8_t>(First[I] & Mask));
+  }
   if (MinLen == MaxLen)
-    return KeyPattern::fixed(Bytes);
-  return KeyPattern::variable(Bytes, MinLen);
+    return KeyPattern::fixed(std::move(Bytes));
+  return KeyPattern::variable(std::move(Bytes), MinLen);
 }
 
 KeyPattern sepe::inferPattern(const std::vector<std::string> &Keys) {

@@ -16,6 +16,7 @@
 
 #include "core/key_pattern.h"
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -31,6 +32,14 @@ KeyPattern inferPattern(const std::vector<std::string> &Keys);
 
 /// Incremental version of inferPattern: maintains the running join so
 /// examples can be streamed (used by the keybuilder tool).
+///
+/// The join of concrete bytes is determined by which bits ever differ,
+/// so the builder keeps the first key and, per position, the OR of every
+/// later key's XOR against it: a bit pair is constant iff neither of its
+/// bits ever differed. Each key folds in eight bytes per step over its
+/// first minLength() bytes only; every position at or past some key's
+/// end is top anyway (Example 3.4). pattern() turns the difference bits
+/// into BytePatterns once.
 class PatternBuilder {
 public:
   /// Joins one more example key into the running pattern.
@@ -43,7 +52,12 @@ public:
   KeyPattern pattern() const;
 
 private:
-  std::vector<BytePattern> Bytes;
+  /// The first key's bytes.
+  std::string First;
+  /// Byte I of the keys, little-endian in word I / 8: bit B is set once
+  /// some key's byte I differed from First[I] in bit B. Only bytes
+  /// [0, MinLen) are kept current.
+  std::vector<uint64_t> Diff;
   size_t MinLen = 0;
   size_t MaxLen = 0;
   size_t Count = 0;

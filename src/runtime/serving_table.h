@@ -31,8 +31,10 @@
 ///     retry the fast lane once, unhinted: a concurrent sweep moves keys
 ///     spill -> fast (insert first, then remove, under the spill shard
 ///     lock), so a racing reader that misses both lanes mid-move finds
-///     the key on the retry. Erase takes the lanes in the opposite
-///     order (spill first), which closes the symmetric race.
+///     the key on the retry. A sweep sequence, odd while a sweep runs,
+///     lets a lookup skip the retry when no sweep can have moved its
+///     key. Erase takes the lanes in the opposite order (spill first),
+///     which closes the symmetric race.
 ///
 /// The acceptance property — a hot swap under full read/write/drift
 /// traffic completes with zero failed lookups for keys that are present
@@ -292,6 +294,7 @@ public:
     uint8_t AdmFound[RouteBlock];
     for (size_t Base = 0; Base < N; Base += RouteBlock) {
       const size_t Count = std::min(RouteBlock, N - Base);
+      const uint64_t Sweeps = SweepSeq.load(std::memory_order_acquire);
       uint64_t Epoch = 0;
       const size_t Misses =
           Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
@@ -320,7 +323,8 @@ public:
       }
       // Spill lane + sweep-race retry for everything still unresolved
       // (reload the lane pointer: see getDynamic() on why the retry must
-      // not depend on the admission verdict or the lane snapshot).
+      // not depend on the admission verdict or the lane snapshot, and
+      // when it can be skipped).
       for (size_t I = 0; I != Count; ++I) {
         const size_t K = Base + I;
         if (Found[K] == 1) {
@@ -332,6 +336,9 @@ public:
           ++Hits;
           continue;
         }
+        if (!sweptSince(Sweeps))
+          continue;
+        SEPE_COUNT("serving_table.get.retry");
         // Loaded after the spill miss so a lane created mid-call is
         // still seen.
         const ShardedIndexMap<Value> *F2 = fast();
@@ -454,6 +461,7 @@ private:
   /// The dynamic-lane probe path (fast -> spill -> unhinted retry);
   /// get() puts the static lane in front of this.
   bool getDynamic(std::string_view Key, Value &Out) const {
+    const uint64_t Sweeps = SweepSeq.load(std::memory_order_acquire);
     const AdaptiveHash::Routed R = Adaptive.route(Key);
     const ShardedIndexMap<Value> *F = fast();
     if (F && R.Admitted && F->getRouted(Key, hintOf(R), Out))
@@ -462,19 +470,33 @@ private:
       return true;
     // A concurrent spill->fast sweep may have moved the key after our
     // fast probe and before our spill probe; one unhinted retry closes
-    // the window (moves only ever go in that direction). The retry must
-    // NOT be gated on R.Admitted: admission was judged by the (possibly
-    // retired) generation route() saw, while the sweep moves exactly
-    // the keys the lane's own generation admits, and the lane re-judges
-    // an unhinted key against that pattern. Reload the lane pointer
-    // too, for the cold-start case where maintain() created it
-    // mid-call.
+    // the window (moves only ever go in that direction), and is skipped
+    // when no sweep ran in it (sweptSince). The retry must NOT be gated
+    // on R.Admitted: admission was judged by the (possibly retired)
+    // generation route() saw, while the sweep moves exactly the keys
+    // the lane's own generation admits, and the lane re-judges an
+    // unhinted key against that pattern. Reload the lane pointer too,
+    // for the cold-start case where maintain() created it mid-call.
+    if (!sweptSince(Sweeps))
+      return false;
+    SEPE_COUNT("serving_table.get.retry");
     if (const ShardedIndexMap<Value> *F2 = fast();
         F2 && F2->getRouted(Key, std::nullopt, Out)) {
       SEPE_COUNT("serving_table.get.retry_hit");
       return true;
     }
     return false;
+  }
+
+  /// True when a sweep can have moved a key spill -> fast since
+  /// SweepSeq read \p Seq: the sequence was odd (a sweep was moving
+  /// keys) or has changed. Sound for a caller that read \p Seq before
+  /// its fast probe and calls this after its spill miss: the miss
+  /// synchronizes with the erase that took the key out of the spill
+  /// lane (through the spill shard lock, or the SpillCount that erase
+  /// released), and the sweep made the sequence odd before that erase.
+  bool sweptSince(uint64_t Seq) const {
+    return (Seq & 1) != 0 || SweepSeq.load(std::memory_order_acquire) != Seq;
   }
 
   const ShardedIndexMap<Value> *fast() const {
@@ -532,6 +554,9 @@ private:
   /// never reversed anywhere). Returns the number of keys moved.
   size_t sweepSpill(ShardedIndexMap<Value> &F) {
     SEPE_SPAN("serving.spill.sweep", Sweep, F.epoch());
+    // Odd from before the first move to after the last (sweptSince);
+    // MaintainMutex keeps sweeps from overlapping.
+    SweepSeq.fetch_add(1, std::memory_order_release);
     size_t Moved = 0;
     for (SpillShard &S : Spill) {
       std::unique_lock<std::shared_mutex> Lock(S.Mutex);
@@ -546,6 +571,7 @@ private:
         }
       }
     }
+    SweepSeq.fetch_add(1, std::memory_order_release);
     if (Moved != 0) {
       Swept.fetch_add(Moved, std::memory_order_relaxed);
       SEPE_COUNT_N("serving_table.sweep.moved", Moved);
@@ -574,6 +600,9 @@ private:
 
   mutable std::array<SpillShard, SpillShardCount> Spill{};
   std::atomic<size_t> SpillCount{0};
+  /// Odd while sweepSpill() may be moving keys; bumped before its first
+  /// move and after its last.
+  std::atomic<uint64_t> SweepSeq{0};
   std::atomic<uint64_t> Swept{0};
   std::mutex MaintainMutex;
 };

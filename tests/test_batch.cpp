@@ -23,19 +23,17 @@
 #include "keygen/distributions.h"
 #include "runtime/adaptive_hash.h"
 #include "support/batch.h"
+#include "test_keys.h"
 
 #include <gtest/gtest.h>
 
-#include <sys/mman.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
 using namespace sepe;
+using sepe::test::PageEndKeys;
 
 namespace {
 
@@ -351,36 +349,6 @@ void expectAgreesWithOracle(const GuardedHash &G,
   }
   EXPECT_EQ(Misses, OracleMisses);
 }
-
-/// Keys that each end at the last byte before a PROT_NONE page, so a
-/// kernel that loads past a key's end faults.
-class PageEndKeys {
-public:
-  explicit PageEndKeys(size_t Slots)
-      : Page(static_cast<size_t>(sysconf(_SC_PAGESIZE))), Slots(Slots) {
-    Map = static_cast<char *>(mmap(nullptr, 2 * Page * Slots,
-                                   PROT_READ | PROT_WRITE,
-                                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
-    EXPECT_NE(Map, MAP_FAILED);
-    for (size_t S = 0; S != Slots; ++S)
-      EXPECT_EQ(mprotect(Map + (2 * S + 1) * Page, Page, PROT_NONE), 0);
-  }
-  ~PageEndKeys() { munmap(Map, 2 * Page * Slots); }
-  PageEndKeys(const PageEndKeys &) = delete;
-  PageEndKeys &operator=(const PageEndKeys &) = delete;
-
-  /// Copies \p Text so that it ends at slot \p S's page end.
-  std::string_view place(size_t S, std::string_view Text) {
-    char *End = Map + (2 * S + 1) * Page;
-    std::memcpy(End - Text.size(), Text.data(), Text.size());
-    return {End - Text.size(), Text.size()};
-  }
-
-private:
-  size_t Page;
-  size_t Slots;
-  char *Map = nullptr;
-};
 
 class FusedGuardEquivalence : public ::testing::TestWithParam<PaperKey> {
 protected:

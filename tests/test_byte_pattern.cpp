@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace sepe;
 
 namespace {
@@ -108,6 +110,39 @@ TEST(BytePatternTest, JoinResultMatchesBothOperandsBytes) {
       EXPECT_TRUE(J.matches(static_cast<uint8_t>(A)));
       EXPECT_TRUE(J.matches(static_cast<uint8_t>(B)));
     }
+}
+
+TEST(BytePatternTest, JoinIsThePointwiseQuadJoin) {
+  // All 5^4 byte patterns (each bit pair top or one of four values),
+  // joined pairwise: every quad of the result must be the quad join of
+  // the operands' quads at that position (Definition 3.2).
+  std::vector<BytePattern> All;
+  for (unsigned Code = 0; Code != 625; ++Code) {
+    uint8_t Mask = 0, Value = 0;
+    for (unsigned Pair = 0, C = Code; Pair != 4; ++Pair, C /= 5)
+      if (C % 5 != 4) {
+        Mask = static_cast<uint8_t>(Mask | (0x3 << (2 * Pair)));
+        Value = static_cast<uint8_t>(Value | ((C % 5) << (2 * Pair)));
+      }
+    All.push_back(BytePattern::fromMaskValue(Mask, Value));
+  }
+  for (const BytePattern A : All)
+    for (const BytePattern B : All) {
+      const BytePattern J = join(A, B);
+      for (unsigned I = 0; I != 4; ++I)
+        if (!(J.quadAt(I) == join(A.quadAt(I), B.quadAt(I))))
+          FAIL() << A.str() << " v " << B.str() << " gave " << J.str();
+    }
+}
+
+TEST(BytePatternTest, SpreadPairsTopsEveryPairWithASetBit) {
+  EXPECT_EQ(spreadPairs(0), 0u);
+  EXPECT_EQ(spreadPairs(0x01), 0x03u);
+  EXPECT_EQ(spreadPairs(0x80), 0xC0u);
+  EXPECT_EQ(spreadPairs(0x24), 0x3Cu);
+  // Eight bytes at once, with no bit crossing into a neighbouring byte.
+  EXPECT_EQ(spreadPairs(0x8001000000000100ull), 0xC003000000000300ull);
+  EXPECT_EQ(spreadPairs(~uint64_t{0}), ~uint64_t{0});
 }
 
 TEST(BytePatternTest, FromMaskValueValidatesPairGranularity) {

@@ -23,52 +23,16 @@
 #include "core/synthesizer.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
+#include "test_keys.h"
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <unordered_set>
 
 using namespace sepe;
+using sepe::test::randomFormat;
 
 namespace {
-
-/// Builds a random fixed-length format of 8 to ~120 bytes.
-FormatSpec randomFormat(uint64_t Seed) {
-  std::mt19937_64 Rng(Seed);
-  std::vector<CharSet> Classes;
-  const size_t RunCount = 2 + Rng() % 8;
-  for (size_t Run = 0; Run != RunCount; ++Run) {
-    const size_t RunLen = 1 + Rng() % 15;
-    const unsigned Kind = static_cast<unsigned>(Rng() % 5);
-    for (size_t I = 0; I != RunLen; ++I) {
-      switch (Kind) {
-      case 0: // constant byte
-        Classes.push_back(CharSet::singleton(
-            static_cast<uint8_t>('!' + Rng() % 90)));
-        break;
-      case 1: // digits
-        Classes.push_back(CharSet::range('0', '9'));
-        break;
-      case 2: { // hex
-        CharSet Hex = CharSet::range('0', '9');
-        Hex |= CharSet::range('a', 'f');
-        Classes.push_back(Hex);
-        break;
-      }
-      case 3: // letters
-        Classes.push_back(CharSet::range('a', 'z'));
-        break;
-      default: // full byte range
-        Classes.push_back(CharSet::any());
-        break;
-      }
-    }
-  }
-  while (Classes.size() < 8)
-    Classes.push_back(CharSet::range('0', '9'));
-  return FormatSpec::fixed(std::move(Classes));
-}
 
 /// True when the format has at least one non-singleton class (otherwise
 /// synthesis rightfully refuses).

@@ -364,6 +364,107 @@ TEST(ServingTableTest, HotSwapUnderConcurrentTrafficLosesNoLookups) {
   }
 }
 
+TEST(ServingTableTest, ReadersRaceRepeatedSweepsAndNeverMissAPresentKey) {
+  // The sweep-race retry, and the sweep sequence that lets a lookup
+  // skip it: each round spills a fresh block of keys the pattern
+  // rejects, widens the pattern to admit them, and sweeps them into the
+  // fast lane while readers probe every key put so far, mostly the ones
+  // being moved. A reader whose fast probe ran before a key's move and
+  // whose spill probe ran after it finds the key only on the retry.
+  const KeyPattern Pattern = patternOf(SsnRegex);
+  ServingTable<uint64_t> Table(Pattern, servingOptions(),
+                               /*ShardCountHint=*/8);
+  ASSERT_TRUE(Table.hasFastLane());
+  constexpr size_t Block = 1024;
+  constexpr size_t Rounds = 6;
+  const std::vector<std::string> Pool =
+      distinctKeys(SsnRegex, Block * (Rounds + 1), 17);
+  // Keys[I] holds value I. Slots past Published are written by the main
+  // thread only; readers read below Published.
+  std::vector<std::string> Keys(Pool.begin(), Pool.begin() + Block);
+  Keys.resize(Pool.size());
+  for (size_t I = 0; I != Block; ++I)
+    ASSERT_TRUE(Table.put(Keys[I], I));
+  std::atomic<size_t> Published{Block};
+  std::atomic<size_t> RoundStart{0};
+
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Failed{0};
+  std::vector<std::thread> Readers;
+  for (int T = 0; T != 3; ++T)
+    Readers.emplace_back([&, T] {
+      std::mt19937_64 Rng(300 + T);
+      std::string_view Batch[8];
+      uint64_t Out[8];
+      uint8_t Found[8];
+      while (!Stop.load(std::memory_order_relaxed)) {
+        // RoundStart first: Published moves before it, so Start < End.
+        const size_t Start = RoundStart.load(std::memory_order_acquire);
+        const size_t End = Published.load(std::memory_order_acquire);
+        const auto Pick = [&] {
+          return Rng() % 4 != 0 ? Start + Rng() % (End - Start)
+                                : Rng() % End;
+        };
+        const size_t I = Pick();
+        uint64_t V = ~0ull;
+        if (!Table.get(Keys[I], V) || V != I)
+          Failed.fetch_add(1, std::memory_order_relaxed);
+        size_t Picked[8];
+        for (size_t B = 0; B != 8; ++B) {
+          Picked[B] = Pick();
+          Batch[B] = Keys[Picked[B]];
+        }
+        if (Table.getBatch(Batch, Out, Found, 8) != 8)
+          Failed.fetch_add(1, std::memory_order_relaxed);
+        for (size_t B = 0; B != 8; ++B)
+          if (!Found[B] || Out[B] != Picked[B])
+            Failed.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  uint64_t Sweeps = 0;
+  for (size_t Round = 1; Round <= Rounds; ++Round) {
+    const DriftProbe Probe = findDriftProbe(Table.adaptive().pattern());
+    if (!Probe.Valid)
+      break;
+    const size_t First = Round * Block;
+    for (size_t I = First; I != First + Block; ++I) {
+      Keys[I] = Pool[I];
+      Keys[I][Probe.Pos] = Probe.Byte;
+      ASSERT_TRUE(Table.put(Keys[I], I));
+    }
+    Published.store(First + Block, std::memory_order_release);
+    RoundStart.store(First, std::memory_order_release);
+    ASSERT_EQ(Table.stats().SpillSize, Block) << "the lane rejects them";
+    // Guard misses on the new keys trip the detector.
+    for (size_t Pass = 0; !Table.adaptive().resynthesisPending(); ++Pass) {
+      ASSERT_LT(Pass, 64u);
+      uint64_t V = 0;
+      for (size_t I = First; I != First + 256; ++I)
+        ASSERT_TRUE(Table.get(Keys[I], V));
+    }
+    if (!Table.adaptive().pumpResynthesis())
+      break;
+    const uint64_t SweptBefore = Table.stats().SweptKeys;
+    Table.maintain();
+    if (Table.stats().SweptKeys == SweptBefore)
+      break; // The widened plan no longer keys a fast lane.
+    ++Sweeps;
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  for (std::thread &R : Readers)
+    R.join();
+
+  EXPECT_GE(Sweeps, 2u) << "too few rounds moved keys to race";
+  EXPECT_EQ(Failed.load(), 0u);
+  const size_t End = Published.load();
+  for (size_t I = 0; I != End; ++I) {
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Table.get(Keys[I], V)) << Keys[I];
+    ASSERT_EQ(V, I);
+  }
+}
+
 TEST(ServingTableStaticTest, SealStaticServesSealedKeysExactly) {
   // A whole table and a three-key one (a single MPHF bucket).
   for (size_t N : {size_t{500}, size_t{3}}) {

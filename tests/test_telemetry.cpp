@@ -680,4 +680,129 @@ TEST(TelemetryPlaneTest, RingEventsMatchTheirAggregates) {
     EXPECT_EQ(telemetry::span(Name.c_str()).count(), N) << Name;
 }
 
+/// Manual-pump serving options with the bijective family.
+AdaptiveOptions manualPext() {
+  AdaptiveOptions Options;
+  Options.Family = HashFamily::Pext;
+  Options.Background = false;
+  Options.Cooldown = std::chrono::milliseconds(0);
+  Options.DriftWindow = 256;
+  return Options;
+}
+
+/// Copies of \p Keys that \p Pattern rejects (its drift probe).
+std::vector<std::string> driftedFrom(std::vector<std::string> Keys,
+                                     const KeyPattern &Pattern) {
+  const DriftProbe Probe = findDriftProbe(Pattern);
+  EXPECT_TRUE(Probe.Valid);
+  for (std::string &Key : Keys)
+    Key[Probe.Pos] = Probe.Byte;
+  return Keys;
+}
+
+/// Looks \p Keys up until the table's drift detector asks for a
+/// resynthesis, then pumps it.
+void tripAndPump(ServingTable<uint64_t> &Table,
+                 const std::vector<std::string> &Keys) {
+  for (int Pass = 0; !Table.adaptive().resynthesisPending(); ++Pass) {
+    ASSERT_LT(Pass, 64);
+    uint64_t V = 0;
+    for (const std::string &Key : Keys)
+      (void)Table.get(Key, V);
+  }
+  ASSERT_TRUE(Table.adaptive().pumpResynthesis());
+}
+
+// A lookup retries the fast lane after a spill miss only when a sweep
+// can have moved its key in between. On a quiescent table no sweep
+// runs, so absent keys (in-format or not, single or batched, unsealed
+// or behind a sealed static lane) take no retry: before any sweep, and
+// after one, with keys waiting in the spill lane.
+TEST(TelemetryServingTest, AbsentKeysTakeNoRetryOnAQuiescentTable) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  Expected<FormatSpec> Spec = parseRegex(R"(\d{3}-\d{2}-\d{4})");
+  ASSERT_TRUE(Spec);
+  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 0xab5e);
+  const std::vector<std::string> Pool = Gen.distinct(1024);
+  const std::vector<std::string> Present(Pool.begin(), Pool.begin() + 256);
+  const std::vector<std::string> Spilled =
+      driftedFrom(Present, Spec->abstract());
+  ServingTable<uint64_t> Table(Spec->abstract(), manualPext(),
+                               /*ShardCountHint=*/4);
+  for (size_t I = 0; I != Present.size(); ++I) {
+    ASSERT_TRUE(Table.put(Present[I], I));
+    ASSERT_TRUE(Table.put(Spilled[I], I));
+  }
+
+  const auto ExpectNoRetry = [&](const char *Phase) {
+    SCOPED_TRACE(Phase);
+    ASSERT_NE(Table.stats().SpillSize, 0u) << "spill probes take the lock";
+    std::vector<std::string> Absent(Pool.begin() + 512, Pool.end());
+    const std::vector<std::string> Rejected =
+        driftedFrom(Absent, Table.adaptive().pattern());
+    Absent.insert(Absent.end(), Rejected.begin(), Rejected.end());
+    const std::vector<std::string_view> Views(Absent.begin(), Absent.end());
+    std::vector<uint64_t> Out(Views.size());
+    std::vector<uint8_t> Found(Views.size());
+    TelemetryScope Scope;
+    for (const std::string &Key : Absent) {
+      uint64_t V = 0;
+      EXPECT_FALSE(Table.get(Key, V)) << Key;
+    }
+    EXPECT_EQ(Table.getBatch(Views.data(), Out.data(), Found.data(),
+                             Views.size()),
+              0u);
+    EXPECT_EQ(telemetry::counter("serving_table.get.retry").value(), 0u);
+    EXPECT_EQ(telemetry::counter("serving_table.get.retry_hit").value(), 0u);
+  };
+  ExpectNoRetry("before any sweep");
+
+  tripAndPump(Table, Spilled);
+  ASSERT_TRUE(Table.maintain());
+  ASSERT_EQ(Table.stats().SweptKeys, Spilled.size());
+  const std::vector<std::string> Waiting =
+      driftedFrom(std::vector<std::string>(Pool.begin() + 256,
+                                           Pool.begin() + 512),
+                  Table.adaptive().pattern());
+  for (const std::string &Key : Waiting)
+    ASSERT_TRUE(Table.put(Key, 0));
+  ExpectNoRetry("after a sweep");
+
+  const std::vector<std::string_view> Seal(Present.begin(), Present.end());
+  ASSERT_EQ(Table.sealStatic(Seal), Present.size());
+  ExpectNoRetry("sealed");
+}
+
+// A migration sizes each successor shard for the old table's mean shard
+// load, so copying the live keys grows no shard.
+TEST(TelemetryServingTest, MigrationCopiesWithoutGrowing) {
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "needs -DSEPE_TELEMETRY=ON";
+  Expected<FormatSpec> Spec = parseRegex(R"(\d{3}-\d{2}-\d{4})");
+  ASSERT_TRUE(Spec);
+  KeyGenerator Gen(*Spec, KeyDistribution::Uniform, 0x61a5);
+  const std::vector<std::string> Keys = Gen.distinct(8192);
+  ServingTable<uint64_t> Table(Spec->abstract(), manualPext(),
+                               /*ShardCountHint=*/8);
+  for (size_t I = 0; I != Keys.size(); ++I)
+    ASSERT_TRUE(Table.put(Keys[I], I));
+  // Absent drifted lookups widen the pattern; nothing waits to be swept.
+  tripAndPump(Table, driftedFrom(std::vector<std::string>(
+                                     Keys.begin(), Keys.begin() + 256),
+                                 Spec->abstract()));
+  {
+    TelemetryScope Scope;
+    ASSERT_TRUE(Table.maintain());
+    EXPECT_EQ(Table.stats().Migrations, 1u);
+    EXPECT_EQ(telemetry::counter("flat_index_map.rehash.grow").value(), 0u);
+  }
+  EXPECT_EQ(Table.stats().SweptKeys, 0u);
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Table.get(Keys[I], V));
+    ASSERT_EQ(V, I);
+  }
+}
+
 } // namespace
