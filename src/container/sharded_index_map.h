@@ -641,16 +641,12 @@ private:
     return S.Mutex;
   }
   static std::shared_mutex &acquireUnique(const Shard &S) {
+    S.UniqueAcquires.fetch_add(1, std::memory_order_relaxed);
     if (!S.Mutex.try_lock()) {
       S.UniqueContended.fetch_add(1, std::memory_order_relaxed);
       SEPE_COUNT("sharded_index_map.lock.contended_write");
       S.Mutex.lock();
     }
-    // Only the lock holder writes UniqueAcquires, so a plain increment
-    // of the atomic loses no count and needs no locked add.
-    S.UniqueAcquires.store(
-        S.UniqueAcquires.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
     return S.Mutex;
   }
 

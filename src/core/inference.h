@@ -36,10 +36,10 @@ KeyPattern inferPattern(const std::vector<std::string> &Keys);
 /// The join of concrete bytes is determined by which bits ever differ,
 /// so the builder keeps the first key and, per position, the OR of every
 /// later key's XOR against it: a bit pair is constant iff neither of its
-/// bits ever differed. Each key folds in eight bytes per step over its
-/// first minLength() bytes only; every position at or past some key's
-/// end is top anyway (Example 3.4). pattern() turns the difference bits
-/// into BytePatterns once.
+/// bits ever differed. Each key folds in eight bytes per step, over as
+/// many bytes as the shortest key seen so far (MinLen) holds; every
+/// position at or past some key's end is top anyway (Example 3.4).
+/// pattern() turns the difference bits into BytePatterns once.
 class PatternBuilder {
 public:
   /// Joins one more example key into the running pattern.

@@ -283,7 +283,6 @@ public:
       Adaptive.observeAdmitted(StaticHits);
       return Hits;
     }
-    const ShardedIndexMap<Value> *F = fast();
     size_t Hits = 0;
     uint64_t Hashes[RouteBlock];
     uint32_t MissIdx[RouteBlock];
@@ -294,7 +293,11 @@ public:
     uint8_t AdmFound[RouteBlock];
     for (size_t Base = 0; Base < N; Base += RouteBlock) {
       const size_t Count = std::min(RouteBlock, N - Base);
+      // Sequence first, lane pointer second, per block, as getDynamic()
+      // does: a lane created and swept before this block's sequence
+      // read must be probed, since sweptSince() cannot show that sweep.
       const uint64_t Sweeps = SweepSeq.load(std::memory_order_acquire);
+      const ShardedIndexMap<Value> *F = fast();
       uint64_t Epoch = 0;
       const size_t Misses =
           Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
@@ -491,10 +494,11 @@ private:
   /// True when a sweep can have moved a key spill -> fast since
   /// SweepSeq read \p Seq: the sequence was odd (a sweep was moving
   /// keys) or has changed. Sound for a caller that read \p Seq before
-  /// its fast probe and calls this after its spill miss: the miss
-  /// synchronizes with the erase that took the key out of the spill
-  /// lane (through the spill shard lock, or the SpillCount that erase
-  /// released), and the sweep made the sequence odd before that erase.
+  /// it loaded the lane pointer for its fast probe, and calls this
+  /// after its spill miss: the miss synchronizes with the erase that
+  /// took the key out of the spill lane (through the spill shard lock,
+  /// or the SpillCount that erase released), and the sweep made the
+  /// sequence odd before that erase.
   bool sweptSince(uint64_t Seq) const {
     return (Seq & 1) != 0 || SweepSeq.load(std::memory_order_acquire) != Seq;
   }

@@ -465,6 +465,73 @@ TEST(ServingTableTest, ReadersRaceRepeatedSweepsAndNeverMissAPresentKey) {
   }
 }
 
+TEST(ServingTableTest, BatchReadersRaceTheColdStartLaneAndItsSweep) {
+  // A cold-start table serves every key from the spill lane until
+  // maintain() creates the fast lane and sweeps the keys into it. Each
+  // batch spans many route blocks over the same keys, so a call that
+  // began before the lane existed runs blocks after the sweep ended:
+  // those blocks find their keys only in a lane the call did not see
+  // when it started. Every round is a fresh table: the lane is created
+  // once per table.
+  constexpr size_t KeyCount = 512;
+  constexpr size_t BatchLen = 16 * 256;
+  constexpr int Rounds = 8;
+  const std::vector<std::string> Pool = distinctKeys(SsnRegex, KeyCount, 23);
+  std::vector<std::string_view> Batch(BatchLen);
+  for (size_t I = 0; I != BatchLen; ++I)
+    Batch[I] = Pool[I % KeyCount];
+
+  uint64_t Failed = 0;
+  int Created = 0;
+  for (int Round = 0; Round != Rounds; ++Round) {
+    ServingTable<uint64_t> Table(KeyPattern{}, servingOptions(),
+                                 /*ShardCountHint=*/8);
+    ASSERT_FALSE(Table.hasFastLane());
+    for (size_t I = 0; I != KeyCount; ++I)
+      ASSERT_TRUE(Table.put(Pool[I], I));
+    // Cold-start lookups are guard misses: they feed the sampler the
+    // re-synthesis infers the lane's pattern from.
+    for (const std::string &Key : Pool) {
+      uint64_t V = 0;
+      ASSERT_TRUE(Table.get(Key, V));
+    }
+
+    std::atomic<bool> Stop{false};
+    std::atomic<size_t> Calls{0};
+    std::atomic<uint64_t> Misses{0};
+    std::vector<std::thread> Readers;
+    for (int T = 0; T != 2; ++T)
+      Readers.emplace_back([&] {
+        std::vector<uint64_t> Out(BatchLen);
+        std::vector<uint8_t> Found(BatchLen);
+        while (!Stop.load(std::memory_order_relaxed)) {
+          Table.getBatch(Batch.data(), Out.data(), Found.data(), BatchLen);
+          for (size_t I = 0; I != BatchLen; ++I)
+            if (!Found[I] || Out[I] != I % KeyCount)
+              Misses.fetch_add(1, std::memory_order_relaxed);
+          Calls.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    while (Calls.load(std::memory_order_relaxed) < 2)
+      std::this_thread::yield();
+    const bool Swapped = Table.adaptive().pumpResynthesis();
+    Table.maintain();
+    const size_t CallsAtSweep = Calls.load(std::memory_order_relaxed);
+    while (Calls.load(std::memory_order_relaxed) < CallsAtSweep + 4)
+      std::this_thread::yield();
+    Stop.store(true, std::memory_order_relaxed);
+    for (std::thread &R : Readers)
+      R.join();
+
+    Failed += Misses.load();
+    EXPECT_TRUE(Swapped) << "round " << Round;
+    if (Table.hasFastLane() && Table.stats().SweptKeys != 0)
+      ++Created;
+  }
+  EXPECT_EQ(Created, Rounds) << "rounds whose sweep moved keys to race";
+  EXPECT_EQ(Failed, 0u);
+}
+
 TEST(ServingTableStaticTest, SealStaticServesSealedKeysExactly) {
   // A whole table and a three-key one (a single MPHF bucket).
   for (size_t N : {size_t{500}, size_t{3}}) {
